@@ -55,6 +55,7 @@ from .fpt_solver import (
     compositions,
     decide_flip_distance_eq,
     exists_solution_with_exactly_k_flips,
+    fpt_distance,
     legal_actions,
     run_iteration,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "compositions",
     "decide_flip_distance_eq",
     "exists_solution_with_exactly_k_flips",
+    "fpt_distance",
     "legal_actions",
     "run_iteration",
     "GenerationError",

@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .flip_dag import (
     InvalidFlipSequence,
@@ -59,6 +58,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
+    for flag, value in (("--k", args.k), ("--cap", args.cap)):
+        if value is not None and value < 0:
+            print(f"distance: {flag} must be nonnegative, got {value}", file=sys.stderr)
+            return EXIT_INPUT
     inst = _read_instance(args.file)
     initial, final = inst.triangulations()
     prune = args.pruning == "on"
@@ -200,6 +203,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     if args.jobs > 1:
+        # imported here because multiprocessing adds about 2 MB to every
+        # process that imports this module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_row, params))
     else:

@@ -24,13 +24,23 @@ actions on a fresh stack.  The run accepts iff after all t iterations
 the current triangulation is the target.  Trying every composition
 makes the overall decision exact for k equal to the flip distance, and
 every accepted run is a genuine k-flip transformation, so smaller k
-never accepts; that pair of facts is what decide_flip_distance_eq needs.
+never accepts.  fpt_distance rests on that pair of facts: it tries
+k = |changed edges|, |changed edges| + 1, .. in turn (every flip removes
+one edge, so no smaller k can work) and the first k that accepts is the
+flip distance.  decide_flip_distance_eq asks it for the distance, capped
+at k.
+
+With prune=True the search also applies the changed-edge lower bound
+at every level: a triangulation with w edges absent from the target
+needs at least w more flips, so a branch with fewer flips left is cut
+(SolverStats.lower_bound_cuts counts the cuts).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .triangulation import Edge, Triangulation, changed_edges, ensure_same_points
@@ -71,6 +81,7 @@ class SolverStats:
     max_branching: int = 0
     compositions_tried: int = 0
     iterations_run: int = 0
+    lower_bound_cuts: int = 0
 
 
 def compositions(k: int) -> Iterator[tuple[int, ...]]:
@@ -133,6 +144,8 @@ def iter_iteration_outcomes(
     flips_target: int,
     prune: bool = True,
     stats: SolverStats | None = None,
+    goal_mask: int | None = None,
+    rest: int = 0,
 ) -> Iterator[Triangulation]:
     """Triangulations reachable from (tri, start) by one machine iteration:
     exactly `flips_target` flips within at most 2*flips_target actions,
@@ -143,12 +156,26 @@ def iter_iteration_outcomes(
     order, so the first visit of a key is the one with the fewest actions
     spent and dropping later visits loses no outcome.  With prune=False
     the raw choice tree is walked depth-first.
+
+    With prune=True and `goal_mask` given, the iteration is one of a run
+    that must reach that target with `rest` flips left after it, and any
+    successor (outcomes included) with more target-absent edges than the
+    flips left to it, `flips_target - flips_done + rest`, is dropped
+    before dedup.  Sound: a flip removes exactly one edge, so each flip
+    lowers the count of target-absent edges by at most one, and the run
+    must bring it to zero.  The count depends only on the edge mask,
+    which is in the dedup key, so a key is cut on every visit or on none
+    and the fewest-actions-first argument above still holds.
     """
     if flips_target <= 0:
         raise ValueError("an iteration must flip at least once")
     if start not in tri:
         raise ValueError(f"start edge {start} is not in the triangulation")
     budget = 2 * flips_target
+    cut = prune and goal_mask is not None
+    if cut:
+        absent = ~goal_mask
+        flips_left = flips_target + rest
     init = MachineState(tri, start, (), 0, 0)
     if prune:
         queue: deque[MachineState] = deque([init])
@@ -169,6 +196,10 @@ def iter_iteration_outcomes(
             if len(pairs) > stats.max_branching:
                 stats.max_branching = len(pairs)
         for _, nxt in pairs:
+            if cut and (nxt.tri.edge_mask & absent).bit_count() > flips_left - nxt.flips_done:
+                if stats:
+                    stats.lower_bound_cuts += 1
+                continue
             if nxt.flips_done == flips_target:
                 m = nxt.tri.edge_mask
                 if m not in emitted:
@@ -211,6 +242,13 @@ def exists_solution_with_exactly_k_flips(
     Accepting is sound for every k (an accepting run performs exactly k
     admissible flips ending at goal) and complete when k is the flip
     distance, which is all the distance decision needs.
+
+    With prune=True an attempt is cut before its next iteration when its
+    triangulation has more goal-absent edges than the flips left in the
+    composition's remaining parts.  Sound for the same reason as the cut
+    inside iter_iteration_outcomes: each flip removes one edge, so it
+    lowers that count by at most one.  So for k below the changed-edge
+    count every composition is cut before any state is expanded.
     """
     ensure_same_points(start, goal)
     if k < 0:
@@ -222,13 +260,21 @@ def exists_solution_with_exactly_k_flips(
         # start equals goal: no changed edge to start an iteration from
         return False
     goal_mask = goal.edge_mask
+    absent = ~goal_mask
     # known-failed (remaining parts, cursor, triangulation) combinations;
     # keyed by the parts suffix because the memo outlives one composition
     failed: set[tuple[tuple[int, ...], int, int]] = set()
 
-    def attempt(tri: Triangulation, cursor: int, parts: tuple[int, ...], idx: int) -> bool:
+    def attempt(
+        tri: Triangulation, cursor: int, parts: tuple[int, ...], left: tuple[int, ...], idx: int
+    ) -> bool:
+        # left[i] is the flip count of parts[i:]
         if idx == len(parts):
             return tri.edge_mask == goal_mask
+        if prune and (tri.edge_mask & absent).bit_count() > left[idx]:
+            if stats:
+                stats.lower_bound_cuts += 1
+            return False
         # skip edges already absent; they never return once their
         # component has run (absent edges of `order` stay absent)
         while cursor < len(order) and order[cursor] not in tri:
@@ -240,8 +286,11 @@ def exists_solution_with_exactly_k_flips(
             return False
         if stats:
             stats.iterations_run += 1
-        for outcome in iter_iteration_outcomes(tri, order[cursor], parts[idx], prune, stats):
-            if attempt(outcome, cursor + 1, parts, idx + 1):
+        outcomes = iter_iteration_outcomes(
+            tri, order[cursor], parts[idx], prune, stats, goal_mask, left[idx + 1]
+        )
+        for outcome in outcomes:
+            if attempt(outcome, cursor + 1, parts, left, idx + 1):
                 return True
         if prune:
             failed.add(key)
@@ -252,9 +301,34 @@ def exists_solution_with_exactly_k_flips(
             continue
         if stats:
             stats.compositions_tried += 1
-        if attempt(start, 0, comp, 0):
+        left = tuple(accumulate(reversed(comp)))[::-1] + (0,)
+        if attempt(start, 0, comp, left, 0):
             return True
     return False
+
+
+def fpt_distance(
+    start: Triangulation,
+    goal: Triangulation,
+    cap: int,
+    prune: bool = True,
+    stats: SolverStats | None = None,
+) -> int | None:
+    """The flip distance from start to goal, or None when it exceeds `cap`.
+
+    Deepens from k0 = |changed edges| and returns the first k whose
+    exists_solution_with_exactly_k_flips accepts.  Every flip removes one
+    edge, and each changed edge has to go, so the distance d is at least
+    k0.  Acceptance is sound for every k, so no k < d accepts, and
+    complete at k = d, so the first acceptance is at d.
+    """
+    ensure_same_points(start, goal)
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    for k in range(len(changed_edges(start, goal)), cap + 1):
+        if exists_solution_with_exactly_k_flips(start, goal, k, prune, stats):
+            return k
+    return None
 
 
 def decide_flip_distance_eq(
@@ -264,10 +338,8 @@ def decide_flip_distance_eq(
     prune: bool = True,
     stats: SolverStats | None = None,
 ) -> bool:
-    """True iff the flip distance from start to goal is exactly k."""
-    if not exists_solution_with_exactly_k_flips(start, goal, k, prune, stats):
-        return False
-    return not any(
-        exists_solution_with_exactly_k_flips(start, goal, smaller, prune, stats)
-        for smaller in range(k)
-    )
+    """True iff the flip distance from start to goal is exactly k.
+
+    Raises ValueError for k < 0, as fpt_distance does for a negative cap.
+    """
+    return fpt_distance(start, goal, k, prune, stats) == k

@@ -140,6 +140,22 @@ def test_distance_both_with_off_target_k(square_file, capsys):
     assert record["result"] == {"oracle": 1, "fpt": False, "agree": True}
 
 
+@pytest.mark.parametrize("engine", ["fpt", "both"])
+def test_distance_rejects_negative_k(square_file, engine, capsys):
+    assert main(["distance", square_file, "--engine", engine, "--k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("engine", ["oracle", "fpt", "both"])
+def test_distance_rejects_negative_cap(square_file, engine, capsys):
+    assert main(["distance", square_file, "--engine", engine, "--cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cap must be nonnegative" in captured.err
+
+
 def test_distance_pruning_flag_accepted(square_file, capsys):
     assert main(["distance", square_file, "--pruning", "off"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["agree"] is True

@@ -7,9 +7,12 @@ from flipdist import (
     MachineState,
     SolverStats,
     bfs_distance,
+    changed_edges,
     compositions,
     decide_flip_distance_eq,
     exists_solution_with_exactly_k_flips,
+    fpt_distance,
+    generate_instance,
     legal_actions,
     run_iteration,
 )
@@ -20,6 +23,7 @@ from flipdist.fpt_solver import (
     FLIP_PUSH_MOVE,
     MAX_ACTIONS_PER_STATE,
     MOVE,
+    iter_iteration_outcomes,
 )
 
 
@@ -228,3 +232,65 @@ def test_stats_populated(square):
     assert stats.actions_generated > 0
     assert stats.compositions_tried >= 1
     assert stats.iterations_run >= 1
+
+
+# seeded (n, scramble, seed) pairs whose distance 4 exceeds their 3 changed edges
+GAP_PAIRS = [(6, 4, 103), (6, 4, 132), (6, 4, 166), (7, 4, 51)]
+
+
+def test_exists_below_changed_edges_cuts_without_expanding():
+    a, b = random_pair(8, 5, 31)
+    ce = len(changed_edges(a, b))
+    assert ce >= 3
+    for k in range(1, ce):
+        stats = SolverStats()
+        assert not exists_solution_with_exactly_k_flips(a, b, k, stats=stats)
+        assert stats.states_expanded == 0
+        assert stats.lower_bound_cuts >= 1
+
+
+def test_iteration_cut_keeps_exactly_the_outcomes_within_bound():
+    # the cut drops a successor only when the goal is out of reach, so the
+    # cut outcome set is the raw one minus outcomes with too many absent edges
+    rng = random.Random(33)
+    for seed in range(8):
+        tri, goal = random_pair(rng.choice([6, 7]), 3, 1700 + seed)
+        e = rng.choice(tri.edges())
+        for target in (1, 2, 3):
+            raw = run_iteration(tri, e, target, False)
+            for rest in (0, 1, 2):
+                stats = SolverStats()
+                cut = set(iter_iteration_outcomes(tri, e, target, True, stats, goal.edge_mask, rest))
+                assert cut == {t for t in raw if (t.edge_mask & ~goal.edge_mask).bit_count() <= rest}
+                if cut != raw:
+                    assert stats.lower_bound_cuts > 0
+
+
+@pytest.mark.parametrize("n, scramble, seed", GAP_PAIRS)
+def test_decide_beyond_changed_edges_matches_oracle(n, scramble, seed):
+    a, b = generate_instance(n, "random", scramble, seed).triangulations()
+    d = bfs_distance(a, b)
+    assert d > len(changed_edges(a, b))
+    for k in range(d + 2):
+        on = decide_flip_distance_eq(a, b, k, prune=True)
+        off = decide_flip_distance_eq(a, b, k, prune=False)
+        assert on == off == (k == d)
+
+
+def test_fpt_distance_matches_oracle_on_larger_pair():
+    a, b = generate_instance(14, "random", 8, 2).triangulations()
+    d = bfs_distance(a, b)
+    stats = SolverStats()
+    assert fpt_distance(a, b, d, stats=stats) == d
+    assert stats.lower_bound_cuts > 0
+
+
+def test_fpt_distance_cap_and_bounds():
+    a, b = generate_instance(6, "random", 4, 103).triangulations()
+    assert fpt_distance(a, b, 10) == 4
+    assert fpt_distance(a, b, 3) is None
+    assert fpt_distance(a, a, 0) == 0
+    with pytest.raises(ValueError):
+        fpt_distance(a, b, -1)
+    with pytest.raises(ValueError):
+        decide_flip_distance_eq(a, b, -1)
