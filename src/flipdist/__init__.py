@@ -57,7 +57,6 @@ from .fpt_solver import (
     exists_solution_with_exactly_k_flips,
     fpt_distance,
     legal_actions,
-    run_iteration,
 )
 from .instances import (
     GenerationError,
@@ -113,7 +112,6 @@ __all__ = [
     "exists_solution_with_exactly_k_flips",
     "fpt_distance",
     "legal_actions",
-    "run_iteration",
     "GenerationError",
     "Instance",
     "InstanceFormatError",

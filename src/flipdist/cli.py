@@ -187,6 +187,10 @@ def _bench_row(params: tuple[int, int, int, int, bool]) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    for flag, value in (("--trials", args.trials), ("--cap", args.cap)):
+        if value < 0:
+            print(f"bench: {flag} must be nonnegative, got {value}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         sizes = [int(s) for s in args.n.split(",") if s.strip()]
     except ValueError:

@@ -115,9 +115,6 @@ class FlipDag:
     def successors(self, i: int) -> tuple[int, ...]:
         return self._succ[i]
 
-    def predecessors(self, i: int) -> tuple[int, ...]:
-        return self._pred[i]
-
     def indegree(self, i: int) -> int:
         return len(self._pred[i])
 
@@ -262,25 +259,6 @@ def sample_topological_sorts(
     for _ in range(samples):
         sorts.append(_kahn(dag, rng.choice))
     return sorts
-
-
-def block_topological_sort(
-    dag: FlipDag, component_order: Sequence[Sequence[int]]
-) -> list[int]:
-    """Concatenate per-component topological sorts in the given component order.
-
-    `component_order` must be a permutation of components(dag).  Within a
-    component ascending position order is used (itself a topological sort);
-    arcs never cross components, so the concatenation is one too.
-    """
-    expected = {tuple(sorted(c)) for c in components(dag)}
-    given = [tuple(sorted(c)) for c in component_order]
-    if set(given) != expected or len(given) != len(expected):
-        raise ValueError("component_order is not a permutation of the components")
-    out: list[int] = []
-    for comp in given:
-        out.extend(comp)
-    return out
 
 
 def arc_lines(dag: FlipDag) -> list[str]:

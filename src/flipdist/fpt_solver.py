@@ -14,7 +14,10 @@ stack of edges, flips done, actions done), and the five action kinds are
   flip_jump_pop   same, and pop the top
 
 The move-bearing kinds offer at most 4 targets each and the jump kinds
-at most 1, so no state ever has more than 14 legal actions.
+at most 1, so no state ever has more than 14 legal actions.  _steps is
+the single statement of these semantics: the search expands plain
+tuples from it, and legal_actions wraps the same steps in Action and
+MachineState for callers that inspect one state.
 
 A full run splits k into a composition (k_1, .., k_t); iteration l
 starts at the next not-yet-restored edge of the initial triangulation
@@ -108,32 +111,41 @@ def compositions(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(k)
 
 
-def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
-    """Every legal (action, successor) pair of `state`, in kind order.
+def _steps(
+    tri: Triangulation, at: Edge, stack: tuple[Edge, ...]
+) -> Iterator[tuple[str, int, Triangulation, Edge, tuple[Edge, ...]]]:
+    """Every legal step from (tri, at, stack), in kind order, as
+    (kind, choice, triangulation, edge, stack) after the step.
 
-    Budgets are the caller's business; this only encodes the machine
-    semantics.  The result never exceeds MAX_ACTIONS_PER_STATE entries.
+    Each step costs one action and every kind but MOVE flips once.
     """
-    tri, at, stack, flips, acts = state
     nbrs = tri.edges_sharing_triangle(at)
-    out: list[tuple[Action, MachineState]] = []
     for idx, e in enumerate(nbrs):
-        out.append((Action(MOVE, idx), MachineState(tri, e, stack, flips, acts + 1)))
+        yield MOVE, idx, tri, e, stack
     if tri.is_admissible(at):
         t2, created = tri.apply_flip(at)
         for idx, e in enumerate(nbrs):
-            out.append((Action(FLIP_MOVE, idx), MachineState(t2, e, stack, flips + 1, acts + 1)))
+            yield FLIP_MOVE, idx, t2, e, stack
         pushed = stack + (created,)
         for idx, e in enumerate(nbrs):
-            out.append(
-                (Action(FLIP_PUSH_MOVE, idx), MachineState(t2, e, pushed, flips + 1, acts + 1))
-            )
+            yield FLIP_PUSH_MOVE, idx, t2, e, pushed
         if stack and stack[-1] in t2:
             top = stack[-1]
-            out.append((Action(FLIP_JUMP), MachineState(t2, top, stack, flips + 1, acts + 1)))
-            out.append(
-                (Action(FLIP_JUMP_POP), MachineState(t2, top, stack[:-1], flips + 1, acts + 1))
-            )
+            yield FLIP_JUMP, 0, t2, top, stack
+            yield FLIP_JUMP_POP, 0, t2, top, stack[:-1]
+
+
+def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
+    """Every legal (action, successor) pair of `state`, in kind order.
+
+    A view of _steps for inspecting one state; budgets are the caller's
+    business.  The result never exceeds MAX_ACTIONS_PER_STATE entries.
+    """
+    tri, at, stack, flips, acts = state
+    out = [
+        (Action(kind, choice), MachineState(t2, e, stk, flips + (kind != MOVE), acts + 1))
+        for kind, choice, t2, e, stk in _steps(tri, at, stack)
+    ]
     assert len(out) <= MAX_ACTIONS_PER_STATE, f"{len(out)} actions from one state"
     return out
 
@@ -176,58 +188,48 @@ def iter_iteration_outcomes(
     if cut:
         absent = ~goal_mask
         flips_left = flips_target + rest
-    init = MachineState(tri, start, (), 0, 0)
+    # states are (triangulation, edge, stack, flips done, actions done)
+    queue = deque([(tri, start, (), 0, 0)])
     if prune:
-        queue: deque[MachineState] = deque([init])
         pop = queue.popleft
         seen = {(tri.edge_mask, start, (), 0)}
     else:
-        queue = deque([init])
         pop = queue.pop
         seen = None
     emitted: set[int] = set()
     while queue:
-        state = pop()
+        cur, at, stack, flips, acts = pop()
+        # materialized so the counters are complete before any outcome is yielded
+        steps = list(_steps(cur, at, stack))
         if stats:
             stats.states_expanded += 1
-        pairs = legal_actions(state)
-        if stats:
-            stats.actions_generated += len(pairs)
-            if len(pairs) > stats.max_branching:
-                stats.max_branching = len(pairs)
-        for _, nxt in pairs:
-            if cut and (nxt.tri.edge_mask & absent).bit_count() > flips_left - nxt.flips_done:
+            stats.actions_generated += len(steps)
+            if len(steps) > stats.max_branching:
+                stats.max_branching = len(steps)
+        acts += 1  # every step costs one action
+        for kind, _, t2, e, stk in steps:
+            f = flips if kind == MOVE else flips + 1
+            if cut and (t2.edge_mask & absent).bit_count() > flips_left - f:
                 if stats:
                     stats.lower_bound_cuts += 1
                 continue
-            if nxt.flips_done == flips_target:
-                m = nxt.tri.edge_mask
+            if f == flips_target:
+                m = t2.edge_mask
                 if m not in emitted:
                     emitted.add(m)
-                    yield nxt.tri
+                    yield t2
                 continue
-            if nxt.actions_done >= budget:
+            if acts >= budget:
                 continue
             # each remaining flip costs at least one action
-            if nxt.flips_done + (budget - nxt.actions_done) < flips_target:
+            if f + (budget - acts) < flips_target:
                 continue
             if seen is not None:
-                key = (nxt.tri.edge_mask, nxt.at, nxt.stack, nxt.flips_done)
+                key = (t2.edge_mask, e, stk, f)
                 if key in seen:
                     continue
                 seen.add(key)
-            queue.append(nxt)
-
-
-def run_iteration(
-    tri: Triangulation,
-    start: Edge,
-    flips_target: int,
-    prune: bool = True,
-    stats: SolverStats | None = None,
-) -> set[Triangulation]:
-    """The outcome set of iter_iteration_outcomes, materialized."""
-    return set(iter_iteration_outcomes(tri, start, flips_target, prune, stats))
+            queue.append((t2, e, stk, f, acts))
 
 
 def exists_solution_with_exactly_k_flips(

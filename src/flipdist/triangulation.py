@@ -1,16 +1,18 @@
 """Triangulations of a fixed planar point set and the edge-flip operation.
 
-A triangulation is stored as a frozen set of vertex triples plus a map
-from each edge to the apex vertices of its incident triangles (one apex
-for a boundary edge, two for an interior edge).  Flipping an interior
-edge whose two triangles form a strictly convex quadrilateral replaces
-it with the other diagonal of that quadrilateral; the point set never
-changes, so two triangulations compare equal iff their triangle sets do.
+A triangulation is stored as one map from each edge to the apex vertices
+of its incident triangles (one apex for a boundary edge, two for an
+interior edge); its triangle set is derived from that map on demand.
+Flipping an interior edge whose two triangles form a strictly convex
+quadrilateral replaces it with the other diagonal of that quadrilateral;
+the point set never changes, so two triangulations compare equal iff
+their edge sets do.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -50,11 +52,6 @@ def make_triangle(a: int, b: int, c: int) -> Triangle:
     return (x, y, z)
 
 
-def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
-    a, b, c = t
-    return ((a, b), (a, c), (b, c))
-
-
 class PointSet:
     """An immutable labelled point set shared by many triangulations.
 
@@ -80,17 +77,24 @@ class PointSet:
     )
 
     def __init__(self, coords: Iterable[tuple[int, int]]):
-        cs = tuple((int(x), int(y)) for x, y in coords)
-        if len(cs) < 3:
-            raise InvalidTriangulation("need at least 3 points")
+        cs: list[tuple[int, int]] = []
         seen: dict[tuple[int, int], int] = {}
-        for i, (x, y) in enumerate(cs):
+        for i, (x, y) in enumerate(coords):
+            try:
+                x, y = index(x), index(y)
+            except TypeError:
+                raise InvalidTriangulation(
+                    f"non-integer coordinate at point {i}: ({x!r}, {y!r})"
+                ) from None
             if not (-COORD_LIMIT < x < COORD_LIMIT and -COORD_LIMIT < y < COORD_LIMIT):
                 raise InvalidTriangulation(f"coordinate out of 32-bit range at point {i}: ({x}, {y})")
             if (x, y) in seen:
                 raise InvalidTriangulation(f"duplicate point: {i} and {seen[(x, y)]} are both ({x}, {y})")
             seen[(x, y)] = i
-        self.coords = cs
+            cs.append((x, y))
+        if len(cs) < 3:
+            raise InvalidTriangulation("need at least 3 points")
+        self.coords = tuple(cs)
         self.points = tuple(Point(i, x, y) for i, (x, y) in enumerate(cs))
 
         chain = hull_boundary_chain(self.points)
@@ -144,26 +148,21 @@ class PointSet:
 class Triangulation:
     """An immutable triangulation of a PointSet with value semantics.
 
-    `edge_mask` ORs one bit per present edge; over a fixed point set the
-    edge set determines the triangulation, so the mask doubles as a cheap
-    in-process fingerprint for dedup tables.  The byte string returned by
-    canonical_key() is the stable, inspectable encoding of the triangle set.
+    The state is the edge->apex map and `edge_mask`, which ORs one bit per
+    present edge; over a fixed point set the edge set determines the
+    triangulation, so the mask doubles as a cheap in-process fingerprint
+    for dedup tables.  `triangles` is derived from the apex map on each
+    access.  The byte string returned by canonical_key() is the stable,
+    inspectable encoding of the triangle set.
 
     Instances are created by build() (validating) or by apply_flip(); the
     bare constructor trusts its arguments.
     """
 
-    __slots__ = ("ps", "triangles", "edge_mask", "_opp", "_ckey", "_edges")
+    __slots__ = ("ps", "edge_mask", "_opp", "_ckey", "_edges")
 
-    def __init__(
-        self,
-        ps: PointSet,
-        triangles: frozenset[Triangle],
-        opp: dict[Edge, tuple[int, ...]],
-        edge_mask: int,
-    ):
+    def __init__(self, ps: PointSet, opp: dict[Edge, tuple[int, ...]], edge_mask: int):
         self.ps = ps
-        self.triangles = triangles
         self._opp = opp
         self.edge_mask = edge_mask
         self._ckey: bytes | None = None
@@ -244,9 +243,15 @@ class Triangulation:
         mask = 0
         for e in opp_sorted:
             mask |= ps.edge_bit(e)
-        return cls(ps, frozenset(tris), opp_sorted, mask)
+        return cls(ps, opp_sorted, mask)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def triangles(self) -> frozenset[Triangle]:
+        """The canonical triangles, each read off the apex map at its two
+        smallest vertices."""
+        return frozenset((u, v, w) for (u, v), ws in self._opp.items() for w in ws if w > v)
 
     def __contains__(self, edge: Edge) -> bool:
         return edge in self._opp
@@ -259,27 +264,6 @@ class Triangulation:
 
     def is_boundary(self, e: Edge) -> bool:
         return len(self._opp[e]) == 1
-
-    def triangles_of_edge(self, e: Edge) -> list[Triangle]:
-        ws = self._opp.get(e)
-        if ws is None:
-            raise ValueError(f"edge {e} is not in the triangulation")
-        return [make_triangle(e[0], e[1], w) for w in ws]
-
-    def quadrilateral_of(self, e: Edge) -> tuple[int, int, int, int]:
-        """Cyclic quadrilateral (a, c, b, d) around interior edge e = (a, b).
-
-        c is the apex from the canonically smaller incident triangle, so
-        the result is deterministic.  The flip of e is the diagonal (c, d).
-        """
-        ws = self._opp.get(e)
-        if ws is None:
-            raise ValueError(f"edge {e} is not in the triangulation")
-        if len(ws) == 1:
-            raise ValueError(f"edge {e} is on the boundary and has no quadrilateral")
-        a, b = e
-        c, d = ws
-        return (a, c, b, d)
 
     def is_admissible(self, e: Edge) -> bool:
         """True iff e is present, interior, and its quadrilateral is strictly convex."""
@@ -313,7 +297,7 @@ class Triangulation:
         u = common.pop()
         (v,) = set(e1) - {u}
         (w,) = set(e2) - {u}
-        return make_triangle(u, v, w) in self.triangles
+        return w in self._opp[make_edge(u, v)]
 
     # -- the flip --------------------------------------------------------
 
@@ -347,14 +331,8 @@ class Triangulation:
                 other = sw[0] if sw[1] == old else sw[1]
                 opp[side] = (other, new) if other < new else (new, other)
 
-        tris = set(self.triangles)
-        tris.discard(make_triangle(a, b, c))
-        tris.discard(make_triangle(a, b, d))
-        tris.add(make_triangle(a, c, d))
-        tris.add(make_triangle(b, c, d))
-
         mask = self.edge_mask ^ self.ps.edge_bit(e) ^ self.ps.edge_bit(created)
-        return Triangulation(self.ps, frozenset(tris), opp, mask), created
+        return Triangulation(self.ps, opp, mask), created
 
     # -- identity --------------------------------------------------------
 
@@ -375,7 +353,7 @@ class Triangulation:
         return hash(self.edge_mask)
 
     def __repr__(self) -> str:
-        return f"Triangulation({len(self.ps)} points, {len(self.triangles)} triangles)"
+        return f"Triangulation({len(self.ps)} points, {self.ps.expected_triangles} triangles)"
 
 
 def ensure_same_points(a: Triangulation, b: Triangulation) -> None:

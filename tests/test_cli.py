@@ -229,3 +229,11 @@ def test_bench_parallel_matches_serial(capsys):
 def test_bench_bad_size_list(capsys):
     assert main(["bench", "--n", "five"]) == 2
     assert "bad --n list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--trials"])
+def test_bench_rejects_negative_counts(flag, capsys):
+    assert main(["bench", "--n", "5", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be nonnegative" in captured.err

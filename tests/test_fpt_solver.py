@@ -14,7 +14,6 @@ from flipdist import (
     fpt_distance,
     generate_instance,
     legal_actions,
-    run_iteration,
 )
 from flipdist.fpt_solver import (
     FLIP_JUMP,
@@ -113,26 +112,26 @@ def test_legal_actions_bounded_on_random_walks():
 
 def test_run_iteration_single_flip(square):
     flipped, _ = square.apply_flip((0, 2))
-    assert run_iteration(square, (0, 2), 1) == {flipped}
+    assert set(iter_iteration_outcomes(square, (0, 2), 1)) == {flipped}
 
 
 def test_run_iteration_move_then_flip(square):
     # from a boundary edge the machine may spend one action walking to the
     # diagonal and still flip within the 2-action budget
     flipped, _ = square.apply_flip((0, 2))
-    assert run_iteration(square, (0, 1), 1) == {flipped}
+    assert set(iter_iteration_outcomes(square, (0, 1), 1)) == {flipped}
 
 
 def test_run_iteration_two_flips_returns_both_ways(square):
-    outcomes = run_iteration(square, (0, 2), 2)
+    outcomes = set(iter_iteration_outcomes(square, (0, 2), 2))
     assert square in outcomes  # flip and flip back among the outcomes
 
 
 def test_run_iteration_rejects_bad_arguments(square):
     with pytest.raises(ValueError, match="at least once"):
-        run_iteration(square, (0, 2), 0)
+        set(iter_iteration_outcomes(square, (0, 2), 0))
     with pytest.raises(ValueError, match="not in the triangulation"):
-        run_iteration(square, (1, 3), 1)
+        set(iter_iteration_outcomes(square, (1, 3), 1))
 
 
 def test_run_iteration_prune_matches_raw():
@@ -141,8 +140,8 @@ def test_run_iteration_prune_matches_raw():
         tri, _ = random_pair(rng.choice([5, 6, 7]), 2, 1400 + seed)
         e = rng.choice(tri.edges())
         for target in (1, 2, 3):
-            pruned = {t.canonical_key() for t in run_iteration(tri, e, target, True)}
-            raw = {t.canonical_key() for t in run_iteration(tri, e, target, False)}
+            pruned = {t.canonical_key() for t in iter_iteration_outcomes(tri, e, target, True)}
+            raw = {t.canonical_key() for t in iter_iteration_outcomes(tri, e, target, False)}
             assert pruned == raw
 
 
@@ -150,7 +149,7 @@ def test_run_iteration_outcomes_within_flip_distance():
     tri, _ = random_pair(6, 1, 1450)
     e = tri.edges()[0]
     for target in (1, 2):
-        for out in run_iteration(tri, e, target):
+        for out in iter_iteration_outcomes(tri, e, target):
             assert bfs_distance(tri, out) <= target
 
 
@@ -257,7 +256,7 @@ def test_iteration_cut_keeps_exactly_the_outcomes_within_bound():
         tri, goal = random_pair(rng.choice([6, 7]), 3, 1700 + seed)
         e = rng.choice(tri.edges())
         for target in (1, 2, 3):
-            raw = run_iteration(tri, e, target, False)
+            raw = set(iter_iteration_outcomes(tri, e, target, False))
             for rest in (0, 1, 2):
                 stats = SolverStats()
                 cut = set(iter_iteration_outcomes(tri, e, target, True, stats, goal.edge_mask, rest))

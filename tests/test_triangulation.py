@@ -18,6 +18,7 @@ from flipdist import (
     Triangulation,
     changed_edges,
     enumerate_triangulations,
+    generate_instance,
     make_edge,
     make_triangle,
 )
@@ -59,6 +60,14 @@ def test_build_reports_unknown_point_and_duplicate_triangle():
         Triangulation.build(SQUARE_POINTS, [(0, 1, 2), (2, 1, 0)])
 
 
+def test_build_rejects_non_integer_coordinates():
+    # truncating would silently build on (0, 1) instead of (0.9, 1.7)
+    with pytest.raises(InvalidTriangulation, match="non-integer coordinate at point 2"):
+        Triangulation.build([(0, 0), (1, 0), (0.9, 1.7)], [(0, 1, 2)])
+    with pytest.raises(InvalidTriangulation, match="non-integer coordinate at point 1"):
+        PointSet([(0, 0), ("1", 0), (0, 1)])
+
+
 def test_build_rejects_all_collinear():
     with pytest.raises(InvalidTriangulation, match="collinear"):
         Triangulation.build([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
@@ -76,17 +85,6 @@ def test_build_shares_point_set_object(pentagon_ps):
     a = pentagon_fan(pentagon_ps, 0)
     b = pentagon_fan(pentagon_ps, 1)
     assert a.ps is b.ps
-
-
-def test_quadrilateral_of_square(square):
-    assert square.quadrilateral_of((0, 2)) == (0, 1, 2, 3)
-
-
-def test_quadrilateral_of_errors(square):
-    with pytest.raises(ValueError, match="not in the triangulation"):
-        square.quadrilateral_of((1, 3))
-    with pytest.raises(ValueError, match="boundary"):
-        square.quadrilateral_of((0, 1))
 
 
 def test_is_admissible(square, pinwheel):
@@ -141,6 +139,22 @@ def test_flip_preserves_counts_and_locality():
             assert len(flipped.edges()) == len(tri.edges())
             assert changed_edges(tri, flipped) == {e}
             assert changed_edges(flipped, tri) == {created}
+
+
+def test_derived_triangles_round_trip():
+    # the triangle set is read off the apex map; rebuilding from it must
+    # give back the same triangulation after any sequence of flips
+    rng = random.Random(13)
+    for n in range(5, 10):
+        for hull in ("random", "convex"):
+            start, _ = generate_instance(n, hull, 0, 600 + n).triangulations()
+            walk = random_walk(start, 10, rng)
+            visited = [start] + [t.apply_flip(e)[0] for t, e in walk]
+            for t in visited:
+                rebuilt = Triangulation.build(t.ps, t.triangles)
+                assert rebuilt == t
+                assert rebuilt.canonical_key() == t.canonical_key()
+                assert len(t.triangles) == t.ps.expected_triangles
 
 
 def test_edges_sharing_triangle_square(square):
