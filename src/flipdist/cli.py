@@ -206,12 +206,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             params.append((n, args.scramble, args.seed + 1000 * i + trial, args.cap, prune))
 
     started = time.perf_counter()
-    if args.jobs > 1:
+    # the fork start method launches every worker at the first submit, so
+    # never ask for more workers than there are rows
+    workers = min(args.jobs, len(params))
+    if workers > 1:
         # imported here because multiprocessing adds about 2 MB to every
         # process that imports this module
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_row, params))
     else:
         rows = [_bench_row(p) for p in params]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -209,6 +210,14 @@ def test_bench_rows_and_aggregate(capsys):
     assert "bench: rows=3 agreed=3 disagreed=0 skipped=0" in captured.err
 
 
+def strip_timing(text):
+    rows = [json.loads(line) for line in text.splitlines()]
+    for row in rows:
+        row.pop("millis_oracle")
+        row.pop("millis_fpt")
+    return rows
+
+
 def test_bench_parallel_matches_serial(capsys):
     args = ["bench", "--n", "5,6", "--trials", "2", "--seed", "21"]
     assert main(args + ["--jobs", "1"]) == 0
@@ -216,14 +225,23 @@ def test_bench_parallel_matches_serial(capsys):
     assert main(args + ["--jobs", "2"]) == 0
     parallel = capsys.readouterr().out
 
-    def strip_timing(text):
-        rows = [json.loads(line) for line in text.splitlines()]
-        for row in rows:
-            row.pop("millis_oracle")
-            row.pop("millis_fpt")
-        return rows
-
     assert strip_timing(serial) == strip_timing(parallel)
+
+
+def test_bench_jobs_capped_at_row_count(capsys, monkeypatch):
+    # one row: --jobs 64 must take the serial path and start no process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    args = ["bench", "--n", "5", "--trials", "1", "--seed", "21"]
+    assert main(args + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--jobs", "64"]) == 0
+    capped = capsys.readouterr().out
+
+    assert len(strip_timing(capped)) == 1
+    assert strip_timing(serial) == strip_timing(capped)
 
 
 def test_bench_bad_size_list(capsys):

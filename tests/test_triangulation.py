@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from flipdist import (
     generate_instance,
     make_edge,
     make_triangle,
+    scan_triangulation,
 )
 
 
@@ -28,7 +30,7 @@ def test_build_square(square):
     assert sorted(square.triangles) == [(0, 1, 2), (0, 2, 3)]
     assert square.edges() == ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
     assert (0, 2) in square and (1, 3) not in square
-    assert square.is_boundary((0, 1)) and not square.is_boundary((0, 2))
+    assert (0, 1) in square.ps.boundary_edges and (0, 2) not in square.ps.boundary_edges
 
 
 def test_build_reports_overlapping_triangles():
@@ -66,6 +68,9 @@ def test_build_rejects_non_integer_coordinates():
         Triangulation.build([(0, 0), (1, 0), (0.9, 1.7)], [(0, 1, 2)])
     with pytest.raises(InvalidTriangulation, match="non-integer coordinate at point 1"):
         PointSet([(0, 0), ("1", 0), (0, 1)])
+    # truncating would silently build the square's (0, 1, 2)
+    with pytest.raises(InvalidTriangulation, match="non-integer vertex id"):
+        Triangulation.build(SQUARE_POINTS, [(0, 1, 2.7), (0, 2, 3)])
 
 
 def test_build_rejects_all_collinear():
@@ -79,6 +84,30 @@ def test_build_accepts_collinear_boundary_points():
     assert tri.ps.hull_size == 4
     assert len(tri.triangles) == 2
     assert len(tri.edges()) == 5
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [(0, 0), (4, 0), (6, 3), (4, 6), (0, 6), (-2, 3)],  # convex hexagon
+        [(0, 0), (6, 0), (7, 4), (3, 7), (-1, 4), (3, 3)],  # five-point hull, one inside
+        [(0, 0), (1, 0), (2, 0), (3, 0), (1, 2), (2, 1)],  # collinear hull sides
+        [(0, 0), (2, 0), (1, 0), (1, 2)],
+    ],
+)
+def test_build_accepts_exactly_the_triangulations(coords):
+    # every set of expected_triangles triangles drawn from all C(n, 3)
+    # builds iff it is a triangulation, as enumerated by flips from a seed
+    ps = PointSet(coords)
+    seed = Triangulation.build(ps, scan_triangulation(coords))
+    masks = sorted(t.edge_mask for t in enumerate_triangulations(seed))
+    accepted = []
+    for tris in combinations(combinations(range(len(ps)), 3), ps.expected_triangles):
+        try:
+            accepted.append(Triangulation.build(ps, tris).edge_mask)
+        except InvalidTriangulation:
+            pass
+    assert sorted(accepted) == masks
 
 
 def test_build_shares_point_set_object(pentagon_ps):
@@ -173,7 +202,7 @@ def test_edges_sharing_triangle_counts_exhaustive(pentagon_ps):
     for seed_tri in seeds:
         for tri in enumerate_triangulations(seed_tri):
             for e in tri.edges():
-                expected = 2 if tri.is_boundary(e) else 4
+                expected = 2 if e in tri.ps.boundary_edges else 4
                 assert len(tri.edges_sharing_triangle(e)) == expected
 
 
