@@ -52,7 +52,6 @@ from .fpt_solver import (
     Action,
     MachineState,
     SolverStats,
-    compositions,
     decide_flip_distance_eq,
     exists_solution_with_exactly_k_flips,
     fpt_distance,
@@ -107,7 +106,6 @@ __all__ = [
     "Action",
     "MachineState",
     "SolverStats",
-    "compositions",
     "decide_flip_distance_eq",
     "exists_solution_with_exactly_k_flips",
     "fpt_distance",

@@ -25,6 +25,7 @@ that is absent from the target (in canonical order, already-absent ones
 skipped) and must perform exactly k_l flips within at most 2*k_l
 actions on a fresh stack.  The run accepts iff after all t iterations
 the current triangulation is the target.  Trying every composition
+(walked as a tree over the next part, so a shared prefix runs once)
 makes the overall decision exact for k equal to the flip distance, and
 every accepted run is a genuine k-flip transformation, so smaller k
 never accepts.  fpt_distance rests on that pair of facts: it tries
@@ -33,17 +34,16 @@ one edge, so no smaller k can work) and the first k that accepts is the
 flip distance.  decide_flip_distance_eq asks it for the distance, capped
 at k.
 
-With prune=True the search also applies the changed-edge lower bound
-at every level: a triangulation with w edges absent from the target
-needs at least w more flips, so a branch with fewer flips left is cut
-(SolverStats.lower_bound_cuts counts the cuts).
+With prune=True the search remembers failed tree nodes and applies the
+changed-edge lower bound at every level: a triangulation with w edges
+absent from the target needs at least w more flips, so a branch with
+fewer flips left is cut (SolverStats.lower_bound_cuts counts the cuts).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .triangulation import Edge, Triangulation, changed_edges, ensure_same_points
@@ -77,7 +77,11 @@ class MachineState(NamedTuple):
 
 @dataclass
 class SolverStats:
-    """Counters the searches fill in; pass one instance around to aggregate."""
+    """Counters the searches fill in; pass one instance around to aggregate.
+
+    iterations_run counts iterations started (one per composition-tree
+    node and part), compositions_tried those running a last part.
+    """
 
     states_expanded: int = 0
     actions_generated: int = 0
@@ -85,30 +89,6 @@ class SolverStats:
     compositions_tried: int = 0
     iterations_run: int = 0
     lower_bound_cuts: int = 0
-
-
-def compositions(k: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of k into positive parts, lexicographically.
-
-    k = 0 yields the single empty composition; k >= 1 yields 2^(k-1).
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        yield ()
-        return
-    acc: list[int] = []
-
-    def rec(rem: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
-            yield tuple(acc)
-            return
-        for first in range(1, rem + 1):
-            acc.append(first)
-            yield from rec(rem - first)
-            acc.pop()
-
-    yield from rec(k)
 
 
 def _steps(
@@ -245,35 +225,34 @@ def exists_solution_with_exactly_k_flips(
     admissible flips ending at goal) and complete when k is the flip
     distance, which is all the distance decision needs.
 
-    With prune=True an attempt is cut before its next iteration when its
-    triangulation has more goal-absent edges than the flips left in the
-    composition's remaining parts.  Sound for the same reason as the cut
-    inside iter_iteration_outcomes: each flip removes one edge, so it
-    lowers that count by at most one.  So for k below the changed-edge
-    count every composition is cut before any state is expanded.
+    attempt(tri, cursor, rest) walks the compositions as a tree: it runs
+    an iteration of each size 1..rest from the next present changed edge
+    and recurses on every outcome, so a shared prefix runs once, and
+    compositions are met in lexicographic order.
+
+    With prune=True a node is cut when tri has more goal-absent edges
+    than the `rest` flips left (each flip removes one edge, so it lowers
+    that count by at most one; for k below the changed-edge count the
+    root is cut), and failed nodes are memoized on (rest, cursor, edge
+    mask).  The memo is sound because attempt's answer depends only on
+    those three: over a fixed point set the mask determines the
+    triangulation, and order, goal and prune are fixed for the call, so
+    a failure recorded under one prefix holds under every prefix.  That
+    key is coarser than the remaining parts' tuple, and never wrong.
+    prune=False is the plain depth-first reference: no memo, no cuts.
     """
     ensure_same_points(start, goal)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return start.edge_mask == goal.edge_mask
     order = sorted(changed_edges(start, goal))
-    if not order:
-        # start equals goal: no changed edge to start an iteration from
-        return False
     goal_mask = goal.edge_mask
     absent = ~goal_mask
-    # known-failed (remaining parts, cursor, triangulation) combinations;
-    # keyed by the parts suffix because the memo outlives one composition
-    failed: set[tuple[tuple[int, ...], int, int]] = set()
+    failed: set[tuple[int, int, int]] = set()
 
-    def attempt(
-        tri: Triangulation, cursor: int, parts: tuple[int, ...], left: tuple[int, ...], idx: int
-    ) -> bool:
-        # left[i] is the flip count of parts[i:]
-        if idx == len(parts):
+    def attempt(tri: Triangulation, cursor: int, rest: int) -> bool:
+        if rest == 0:
             return tri.edge_mask == goal_mask
-        if prune and (tri.edge_mask & absent).bit_count() > left[idx]:
+        if prune and (tri.edge_mask & absent).bit_count() > rest:
             if stats:
                 stats.lower_bound_cuts += 1
             return False
@@ -283,30 +262,24 @@ def exists_solution_with_exactly_k_flips(
             cursor += 1
         if cursor == len(order):
             return False
-        key = (parts[idx:], cursor, tri.edge_mask)
+        key = (rest, cursor, tri.edge_mask)
         if prune and key in failed:
             return False
-        if stats:
-            stats.iterations_run += 1
-        outcomes = iter_iteration_outcomes(
-            tri, order[cursor], parts[idx], prune, stats, goal_mask, left[idx + 1]
-        )
-        for outcome in outcomes:
-            if attempt(outcome, cursor + 1, parts, left, idx + 1):
-                return True
+        for part in range(1, rest + 1):
+            if stats:
+                stats.iterations_run += 1
+                stats.compositions_tried += part == rest
+            outcomes = iter_iteration_outcomes(
+                tri, order[cursor], part, prune, stats, goal_mask, rest - part
+            )
+            for outcome in outcomes:
+                if attempt(outcome, cursor + 1, rest - part):
+                    return True
         if prune:
             failed.add(key)
         return False
 
-    for comp in compositions(k):
-        if len(comp) > len(order):
-            continue
-        if stats:
-            stats.compositions_tried += 1
-        left = tuple(accumulate(reversed(comp)))[::-1] + (0,)
-        if attempt(start, 0, comp, left, 0):
-            return True
-    return False
+    return attempt(start, 0, k)
 
 
 def fpt_distance(

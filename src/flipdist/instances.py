@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import COLLINEAR, Point, convex_hull, cross, hull_boundary_chain, orientation
+from .geometry import Point, convex_hull, cross, hull_boundary_chain
 from .triangulation import PointSet, Triangle, Triangulation, make_triangle
 
 HEADER = "flipdist v1"
@@ -180,24 +180,32 @@ def scan_triangulation(points: list[tuple[int, int]]) -> list[Triangle]:
 
 
 def _general_position(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
-    c = Point(-1, *cand)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if orientation(Point(-2, *pts[i]), Point(-3, *pts[j]), c) == COLLINEAR:
-                return False
-    return True
+    """Is `cand` (not in pts) off every line through two of pts?
+
+    O(n): two points are collinear with cand iff their directions from
+    it, gcd-reduced and sign-normalised, are equal.
+    """
+    cx, cy = cand
+    dirs = set()
+    for x, y in pts:
+        dx, dy = x - cx, y - cy
+        g = math.gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -math.gcd(dx, dy)
+        dirs.add((dx // g, dy // g))
+    return len(dirs) == len(pts)
 
 
 def _random_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int]]:
     for _ in range(2000):
         pts: list[tuple[int, int]] = []
+        placed: set[tuple[int, int]] = set()
         tries = 0
         while len(pts) < n and tries < 500:
             tries += 1
             cand = (rng.randrange(0, span + 1), rng.randrange(0, span + 1))
-            if cand in pts or not _general_position(pts, cand):
+            if cand in placed or not _general_position(pts, cand):
                 continue
             pts.append(cand)
+            placed.add(cand)
         if len(pts) == n:
             return pts
     raise GenerationError(f"could not place {n} points in general position (span {span})")

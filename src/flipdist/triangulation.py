@@ -71,7 +71,7 @@ class PointSet:
         "hull_size",
         "expected_triangles",
         "hull_area2",
-        "_edge_bits",
+        "_edge_index",
         "_quad_cache",
     )
 
@@ -110,18 +110,15 @@ class PointSet:
         self.expected_triangles = 2 * n - h - 2
         self.hull_area2 = polygon_area2(chain)
 
-        self._edge_bits: dict[Edge, int] = {}
-        bit = 1
-        for pair in combinations(range(n), 2):
-            self._edge_bits[pair] = bit
-            bit <<= 1
+        # bit indices: storing the bits 1 << i would take Theta(n^4) bits
+        self._edge_index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
         self._quad_cache: dict[tuple[int, int, int, int], bool] = {}
 
     def __len__(self) -> int:
         return len(self.coords)
 
     def edge_bit(self, e: Edge) -> int:
-        return self._edge_bits[e]
+        return 1 << self._edge_index[e]
 
     def quad_convex(self, a: int, c: int, b: int, d: int) -> bool:
         """Memoized: is the quadrilateral a, c, b, d (cyclic) strictly convex?"""

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from flipdist import PointSet, Triangulation, generate_instance
+from flipdist import (
+    PointSet,
+    Triangulation,
+    changed_edges,
+    exists_solution_with_exactly_k_flips,
+    fpt_solver,
+    generate_instance,
+)
 
 SQUARE_POINTS = [(0, 0), (1, 0), (1, 1), (0, 1)]
 # convex, no three collinear
@@ -28,6 +35,46 @@ def pentagon_fan(ps: PointSet, apex: int) -> Triangulation:
         if apex not in (u, (u + 1) % 5)
     ]
     return Triangulation.build(ps, tris)
+
+
+def polygon_fans(n: int = 20) -> tuple[Triangulation, Triangulation]:
+    """The fans at vertex 0 and at vertex n // 2 of a convex n-gon whose
+    vertices lie on the parabola y = x^2; they differ in n - 4 edges."""
+    ps = PointSet([(i, i * i) for i in range(n)])
+
+    def fan(apex: int) -> Triangulation:
+        sides = [(u, (u + 1) % n) for u in range(n)]
+        return Triangulation.build(ps, [(apex, u, v) for u, v in sides if apex not in (u, v)])
+
+    return fan(0), fan(n // 2)
+
+
+def searched_compositions(monkeypatch, start: Triangulation, goal: Triangulation, k: int):
+    """The part sequences exists_solution_with_exactly_k_flips walks with
+    prune=False, in search order.
+
+    Every iteration is replaced by one that yields its input unchanged,
+    so no run reaches the goal, the whole composition tree is walked and
+    the cursor of an iteration is its depth.  The sequences are rebuilt
+    from the recorded (cursor, flips_target) calls.
+    """
+    order = sorted(changed_edges(start, goal))
+    calls = []
+
+    def unchanged(tri, edge, flips_target, *args):
+        calls.append((order.index(edge), flips_target))
+        yield tri
+
+    with monkeypatch.context() as m:
+        m.setattr(fpt_solver, "iter_iteration_outcomes", unchanged)
+        assert not exists_solution_with_exactly_k_flips(start, goal, k, prune=False)
+    seqs, prefix = [], []
+    for cursor, part in calls:
+        del prefix[cursor:]
+        prefix.append(part)
+        if sum(prefix) == k:
+            seqs.append(tuple(prefix))
+    return seqs
 
 
 def random_walk(

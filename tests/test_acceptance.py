@@ -24,7 +24,6 @@ from flipdist import (
     build_dag,
     classify_essential,
     components,
-    compositions,
     decide_flip_distance_eq,
     enumerate_minimal_solutions,
     generate_instance,
@@ -35,7 +34,7 @@ from flipdist import (
 from flipdist.flip_dag import FlipDag
 from flipdist.geometry import segments_cross
 
-from conftest import random_walk
+from conftest import polygon_fans, random_walk, searched_compositions
 
 ORACLE_BUDGET_SECONDS = 600.0
 RAW_BUDGET_SECONDS = 60.0
@@ -242,18 +241,20 @@ def test_criterion_6_branching_bound(decide_results):
     )
 
 
-def test_criterion_7_composition_count():
+def test_criterion_7_composition_count(monkeypatch):
+    # the fans of a convex 20-gon differ in 16 edges, room for every part
+    a, b = polygon_fans(20)
     bad = []
     for k in range(1, 17):
         count = 0
-        for comp in compositions(k):
+        for comp in searched_compositions(monkeypatch, a, b, k):
             count += 1
             if k <= 8 and sum(comp) != k:
                 bad.append((k, comp))
         if count != 2 ** (k - 1):
             bad.append((k, count))
     report(
-        "compositions(k) yields exactly 2^(k-1) tuples for k in [1,16]",
+        "the search walks exactly 2^(k-1) compositions for k in [1,16]",
         not bad,
         f"checked k=1..16, mismatches={bad[:3]}",
     )

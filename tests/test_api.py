@@ -15,12 +15,23 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+# the stats fields the traced benchmark reads, and its microbenchmarks
+# (apply_flip, admissible_edges, legal_actions) on one square
+BENCH_CALLS = """
+import tracing, workloads
+from flipdist import SolverStats, Triangulation
+tracing._decide_attrs({"stats": SolverStats()}, None)
+square = Triangulation.build([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
+tracing.microbench([square], 0.001)
+"""
+
+
 def test_benchmark_modules_import():
-    # the benchmark imports package names at module level, so an API
-    # deletion that breaks it fails here
+    # the benchmark imports package names at module level and reads stats
+    # fields by name, so an API change that breaks it fails here
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import tracing, workloads"],
+        [sys.executable, "-c", BENCH_CALLS],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from conftest import pentagon_fan, random_pair, random_walk
+from conftest import pentagon_fan, polygon_fans, random_pair, random_walk, searched_compositions
 from flipdist import (
     MachineState,
     SolverStats,
     bfs_distance,
     changed_edges,
-    compositions,
     decide_flip_distance_eq,
     exists_solution_with_exactly_k_flips,
     fpt_distance,
@@ -26,24 +25,35 @@ from flipdist.fpt_solver import (
 )
 
 
-def test_compositions_base_cases():
-    assert list(compositions(0)) == [()]
-    assert list(compositions(1)) == [(1,)]
-    assert list(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+@pytest.fixture(scope="module")
+def far_fans():
+    a, b = polygon_fans(20)
+    assert len(changed_edges(a, b)) == 16
+    return a, b
 
 
-def test_compositions_counts_and_order():
+def test_compositions_base_cases(monkeypatch, far_fans):
+    a, b = far_fans
+    # k = 0 is the empty composition: no iteration, only the goal test
+    assert searched_compositions(monkeypatch, a, b, 0) == []
+    assert exists_solution_with_exactly_k_flips(a, a, 0, prune=False)
+    assert searched_compositions(monkeypatch, a, b, 1) == [(1,)]
+    assert searched_compositions(monkeypatch, a, b, 2) == [(1, 1), (2,)]
+    assert searched_compositions(monkeypatch, a, b, 3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+
+
+def test_compositions_counts_and_order(monkeypatch, far_fans):
     for k in range(1, 11):
-        comps = list(compositions(k))
+        comps = searched_compositions(monkeypatch, *far_fans, k)
         assert len(comps) == 2 ** (k - 1)
         assert all(sum(c) == k and min(c) >= 1 for c in comps)
         assert comps == sorted(comps)
         assert len(set(comps)) == len(comps)
 
 
-def test_compositions_rejects_negative():
+def test_compositions_rejects_negative(far_fans):
     with pytest.raises(ValueError):
-        list(compositions(-1))
+        exists_solution_with_exactly_k_flips(*far_fans, -1)
 
 
 def _kinds(pairs):
@@ -274,6 +284,29 @@ def test_decide_beyond_changed_edges_matches_oracle(n, scramble, seed):
         on = decide_flip_distance_eq(a, b, k, prune=True)
         off = decide_flip_distance_eq(a, b, k, prune=False)
         assert on == off == (k == d)
+
+
+# states expanded by fpt_distance(.., 6) with the compositions walked as
+# a tree; running each composition from the start took 123/123/129/152/304
+STATES_AS_TREE = list(zip(GAP_PAIRS + [(14, 8, 2)], [108, 108, 114, 91, 254]))
+
+
+@pytest.mark.parametrize("pair, states", STATES_AS_TREE)
+def test_composition_tree_expands_no_more_states(pair, states):
+    a, b = generate_instance(pair[0], "random", pair[1], pair[2]).triangulations()
+    stats = SolverStats()
+    assert fpt_distance(a, b, 6, True, stats) is not None
+    assert stats.states_expanded <= states
+
+
+def test_memo_shares_failures_across_prefixes():
+    # a rejected k whose tree revisits failed (rest, cursor, mask) nodes:
+    # 4577 states with the memo, 5068 without, 5145 running each
+    # composition from the start with a memo keyed on its remaining parts
+    a, b = generate_instance(9, "random", 4, 111).triangulations()
+    stats = SolverStats()
+    assert not exists_solution_with_exactly_k_flips(a, b, 5, True, stats)
+    assert stats.states_expanded <= 4577
 
 
 def test_fpt_distance_matches_oracle_on_larger_pair():

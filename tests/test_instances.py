@@ -131,10 +131,12 @@ def test_generate_convex_positions():
 
 
 def test_generate_general_position():
-    inst = generate_instance(8, "random", 0, 4200)
-    pts = [Point(i, x, y) for i, (x, y) in enumerate(inst.points)]
-    for p, q, r in itertools.combinations(pts, 3):
-        assert orientation(p, q, r) != 0
+    for n, seed in [(8, 4200), (8, 4201), (12, 4202), (20, 4203), (40, 4204), (40, 4205)]:
+        inst = generate_instance(n, "random", 0, seed)
+        pts = [Point(i, x, y) for i, (x, y) in enumerate(inst.points)]
+        assert len(set(inst.points)) == n
+        for p, q, r in itertools.combinations(pts, 3):
+            assert orientation(p, q, r) != 0
 
 
 def test_generate_rejects_bad_parameters():

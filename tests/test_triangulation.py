@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -114,6 +115,19 @@ def test_build_shares_point_set_object(pentagon_ps):
     a = pentagon_fan(pentagon_ps, 0)
     b = pentagon_fan(pentagon_ps, 1)
     assert a.ps is b.ps
+
+
+def test_point_set_edge_table_memory():
+    # one table entry per point pair: storing each bit 1 << i, not its
+    # index i, takes Theta(n^4) bits, 134 MB for these 300 points
+    tracemalloc.start()
+    try:
+        ps = PointSet([(i, i * i % 1009) for i in range(300)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert ps.edge_bit((0, 1)) == 1 and ps.edge_bit((298, 299)) == 1 << (300 * 299 // 2 - 1)
 
 
 def test_is_admissible(square, pinwheel):
