@@ -123,29 +123,29 @@ class FlipDag:
 
 
 def build_dag(seq: FlipSequence) -> FlipDag:
-    """Dependency DAG of a flip sequence.
+    """Dependency DAG of a flip sequence, in one pass.
 
     Arc i -> j iff the diagonal created by flip i is not flipped strictly
     between i and j, and flip j either removes it or removes an edge that
     shares a triangle with it in the triangulation just before flip j.
+
+    `creator` maps each edge that some flip created to the last flip that
+    created it.  Flip j removes ab and creates cd, so just before it ab,
+    ac, bc, ad and bd are present, and the last four are the edges that
+    share a triangle with ab.  A present edge has not been flipped since
+    its last creator made it, and each earlier creator's diagonal was
+    flipped in between, so the arcs into j come from the creators of those
+    five edges: indegree at most 5.
     """
-    recs = seq.records
-    r = len(recs)
+    creator: dict[Edge, int] = {}
     arcs = []
-    for j in range(2, r + 1):
-        removed_j = recs[j - 1].removed
-        before_j = seq.snapshots[j - 1]
-        for i in range(1, j):
-            made_i = recs[i - 1].created
-            if any(recs[p - 1].removed == made_i for p in range(i + 1, j)):
-                continue
-            if made_i == removed_j or before_j.edges_share_triangle(made_i, removed_j):
-                arcs.append((i, j))
-    dag = FlipDag(r, arcs)
-    for j in dag.nodes():
-        # 1 possible creator of the removed edge + at most 4 triangle sharers
-        assert dag.indegree(j) <= 5, f"indegree of {j} exceeds 5"
-    return dag
+    for rec in seq.records:
+        (a, b), (c, d) = rec.removed, rec.created
+        for e in (rec.removed, make_edge(a, c), make_edge(b, c), make_edge(a, d), make_edge(b, d)):
+            if e in creator:
+                arcs.append((creator[e], rec.position))
+        creator[rec.created] = rec.position
+    return FlipDag(len(seq.records), arcs)
 
 
 def is_topological_sort(dag: FlipDag, order: Sequence[int]) -> bool:

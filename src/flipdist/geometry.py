@@ -87,53 +87,52 @@ def polygon_area2(ring: Sequence[Point]) -> int:
     return total
 
 
-def convex_hull(points: Iterable[Point]) -> list[Point]:
-    """Strict convex hull in ccw order; collinear boundary points are dropped.
+def monotone_chains(
+    points: Iterable[Point],
+) -> tuple[list[Point], list[Point], list[tuple[Point, Point, Point]]]:
+    """Andrew's monotone chain sweep (1979), keeping collinear boundary points.
 
-    Returns fewer than 3 points when the input is degenerate (all collinear).
+    Visits the points in (x, y) order and keeps a lower and an upper chain,
+    both running left to right.  An edge is popped only when the new point
+    lies strictly outside it, so points inside a hull edge stay on the
+    chain.  Returns (lower, upper, popped), where popped lists (u, v, p)
+    for every edge uv popped by the point p.
+
+    Each new point p comes after every placed point in (x, y) order, so it
+    lies outside their hull, and the hull edges it sees strictly form one
+    run through the hull's right end: exactly the edges it pops from the
+    right ends of the two chains.  Joining p to each of them is the
+    incremental scan triangulation.
     """
-    pts = sorted(points, key=lambda p: (p.x, p.y))
-    if len(pts) < 3:
-        return pts
-
-    def chain(seq: list[Point]) -> list[Point]:
-        out: list[Point] = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        # all points collinear
-        return hull[:2] if len(hull) >= 2 else hull
-    return hull
+    lower: list[Point] = []
+    upper: list[Point] = []
+    popped: list[tuple[Point, Point, Point]] = []
+    for p in sorted(points, key=lambda p: (p.x, p.y)):
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) < 0:
+            popped.append((lower[-2], lower.pop(), p))
+        lower.append(p)
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) > 0:
+            popped.append((upper[-2], upper.pop(), p))
+        upper.append(p)
+    return lower, upper, popped
 
 
 def hull_boundary_chain(points: Sequence[Point]) -> list[Point] | None:
-    """All points on the convex hull boundary, in ccw order.
+    """All points on the convex hull boundary, in ccw order from the
+    smallest (x, y); points inside a hull edge are kept.
 
-    Unlike convex_hull this keeps points that lie strictly inside a hull
-    edge, inserted along that edge.  Returns None for degenerate input.
+    Returns None when all points are collinear: then nothing is ever
+    popped, and both chains still hold every point.
     """
-    hull = convex_hull(points)
-    if len(hull) < 3:
+    lower, upper, _ = monotone_chains(points)
+    if len(lower) == len(upper) == len(points):
         return None
-    hull_ids = {p.id for p in hull}
-    chain: list[Point] = []
-    for i, u in enumerate(hull):
-        v = hull[(i + 1) % len(hull)]
-        on_edge = []
-        for w in points:
-            if w.id in hull_ids or orientation(u, v, w) != COLLINEAR:
-                continue
-            t = (w.x - u.x) * (v.x - u.x) + (w.y - u.y) * (v.y - u.y)
-            span = (v.x - u.x) ** 2 + (v.y - u.y) ** 2
-            if 0 < t < span:
-                on_edge.append((t, w))
-        chain.append(u)
-        chain.extend(w for _, w in sorted(on_edge))
-    return chain
+    return lower[:-1] + upper[:0:-1]
+
+
+def convex_hull(points: Sequence[Point]) -> list[Point]:
+    """The corners of the hull boundary chain (its points with a nonzero
+    turn), in ccw order; [] when all points are collinear."""
+    chain = hull_boundary_chain(points) or []
+    turns = zip(chain[-1:] + chain, chain, chain[1:] + chain[:1])
+    return [q for p, q, r in turns if cross(p, q, r)]

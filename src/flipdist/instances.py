@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import Point, convex_hull, cross, hull_boundary_chain
+from .geometry import Point, convex_hull, monotone_chains
 from .triangulation import PointSet, Triangle, Triangulation, make_triangle
 
 HEADER = "flipdist v1"
@@ -151,32 +151,12 @@ def render_instance(inst: Instance) -> str:
 def scan_triangulation(points: list[tuple[int, int]]) -> list[Triangle]:
     """Some triangulation of the point set, by lexicographic incremental scan.
 
-    Each point is connected to every boundary-chain edge of the already
-    placed points that faces it; collinear prefixes are fanned out when
-    the first off-line point arrives.
+    Each point, in (x, y) order, is joined to every hull edge of the points
+    before it that it sees strictly: the edges it pops in `monotone_chains`.
     """
     pts = [Point(i, x, y) for i, (x, y) in enumerate(points)]
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].x, pts[i].y))
-    placed: list[Point] = []
-    tris: list[Triangle] = []
-    for pid in order:
-        p = pts[pid]
-        if len(placed) >= 2:
-            chain = hull_boundary_chain(placed)
-            if chain is not None:
-                m = len(chain)
-                for i in range(m):
-                    u, v = chain[i], chain[(i + 1) % m]
-                    if cross(u, v, p) < 0:
-                        tris.append(make_triangle(u.id, v.id, p.id))
-            else:
-                # placed points are collinear; fan p over consecutive pairs
-                row = sorted(placed, key=lambda q: (q.x, q.y))
-                for u, v in zip(row, row[1:]):
-                    if cross(u, v, p) != 0:
-                        tris.append(make_triangle(u.id, v.id, p.id))
-        placed.append(p)
-    return sorted(tris)
+    _, _, popped = monotone_chains(pts)
+    return sorted(make_triangle(u.id, v.id, p.id) for u, v, p in popped)
 
 
 def _general_position(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
@@ -195,15 +175,17 @@ def _general_position(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool
 
 
 def _random_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int]]:
+    """n points in general position: 500 tries per point, then start over."""
     for _ in range(2000):
         pts: list[tuple[int, int]] = []
         placed: set[tuple[int, int]] = set()
-        tries = 0
-        while len(pts) < n and tries < 500:
-            tries += 1
-            cand = (rng.randrange(0, span + 1), rng.randrange(0, span + 1))
-            if cand in placed or not _general_position(pts, cand):
-                continue
+        while len(pts) < n:
+            for _ in range(500):
+                cand = (rng.randrange(0, span + 1), rng.randrange(0, span + 1))
+                if cand not in placed and _general_position(pts, cand):
+                    break
+            else:
+                break
             pts.append(cand)
             placed.add(cand)
         if len(pts) == n:

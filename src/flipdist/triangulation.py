@@ -64,7 +64,6 @@ class PointSet:
     """
 
     __slots__ = (
-        "coords",
         "points",
         "boundary_chain",
         "boundary_edges",
@@ -76,7 +75,7 @@ class PointSet:
     )
 
     def __init__(self, coords: Iterable[tuple[int, int]]):
-        cs: list[tuple[int, int]] = []
+        pts: list[Point] = []
         seen: dict[tuple[int, int], int] = {}
         for i, (x, y) in enumerate(coords):
             try:
@@ -90,11 +89,10 @@ class PointSet:
             if (x, y) in seen:
                 raise InvalidTriangulation(f"duplicate point: {i} and {seen[(x, y)]} are both ({x}, {y})")
             seen[(x, y)] = i
-            cs.append((x, y))
-        if len(cs) < 3:
+            pts.append(Point(i, x, y))
+        if len(pts) < 3:
             raise InvalidTriangulation("need at least 3 points")
-        self.coords = tuple(cs)
-        self.points = tuple(Point(i, x, y) for i, (x, y) in enumerate(cs))
+        self.points = tuple(pts)
 
         chain = hull_boundary_chain(self.points)
         if chain is None:
@@ -105,7 +103,7 @@ class PointSet:
             make_edge(chain[i].id, chain[(i + 1) % h].id) for i in range(h)
         )
         self.hull_size = h
-        n = len(cs)
+        n = len(pts)
         # Euler count; h counts every point on the hull boundary, not just corners.
         self.expected_triangles = 2 * n - h - 2
         self.hull_area2 = polygon_area2(chain)
@@ -115,7 +113,7 @@ class PointSet:
         self._quad_cache: dict[tuple[int, int, int, int], bool] = {}
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.points)
 
     def edge_bit(self, e: Edge) -> int:
         return 1 << self._edge_index[e]
@@ -131,13 +129,13 @@ class PointSet:
         return hit
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PointSet) and self.coords == other.coords
+        return isinstance(other, PointSet) and self.points == other.points
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash(self.points)
 
     def __repr__(self) -> str:
-        return f"PointSet({len(self.coords)} points, hull {self.hull_size})"
+        return f"PointSet({len(self.points)} points, hull {self.hull_size})"
 
 
 class Triangulation:

@@ -15,11 +15,13 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-# the stats fields the traced benchmark reads, and its microbenchmarks
-# (apply_flip, admissible_edges, legal_actions) on one square
+# the attributes the traced benchmark patches by name, the stats fields it
+# reads, and its microbenchmarks (apply_flip, admissible_edges,
+# legal_actions) on one square
 BENCH_CALLS = """
 import tracing, workloads
 from flipdist import SolverStats, Triangulation
+tracing.Patches(tracing.Tracer(), tracing.REQUEST_TARGETS + tracing.SETUP_TARGETS)
 tracing._decide_attrs({"stats": SolverStats()}, None)
 square = Triangulation.build([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
 tracing.microbench([square], 0.001)

@@ -93,6 +93,54 @@ def test_dag_bounds_on_random_sequences():
             assert dag.indegree(node) <= 5
 
 
+def _dag_by_definition(seq):
+    """Arc i -> j iff the diagonal made by flip i is not flipped strictly
+    between i and j, and flip j removes it or an edge sharing a triangle
+    with it just before j."""
+    recs = seq.records
+    arcs = []
+    for j in range(2, len(recs) + 1):
+        removed_j = recs[j - 1].removed
+        before_j = seq.snapshots[j - 1]
+        for i in range(1, j):
+            made_i = recs[i - 1].created
+            if any(recs[p - 1].removed == made_i for p in range(i + 1, j)):
+                continue
+            if made_i == removed_j or before_j.edges_share_triangle(made_i, removed_j):
+                arcs.append((i, j))
+    return tuple(sorted(arcs))
+
+
+def _recreating_sequence(seed: int):
+    """A random flip sequence that often flips diagonals it made before."""
+    rng = random.Random(seed)
+    start, _ = random_pair(rng.choice([5, 6, 7, 8, 9]), 0, 700 + seed)
+    cur, edges, made = start, [], []
+    for _ in range(rng.randrange(4, 20)):
+        back = [e for e in made if cur.is_admissible(e)]
+        choices = back if back and rng.random() < 0.6 else cur.admissible_edges()
+        if not choices:
+            break
+        e = rng.choice(choices)
+        cur, created = cur.apply_flip(e)
+        edges.append(e)
+        made.append(created)
+    return apply_sequence(start, edges)
+
+
+def test_build_dag_matches_definition():
+    reflips = 0
+    for seed in range(120):
+        seq = _recreating_sequence(seed)
+        assert build_dag(seq).arcs == _dag_by_definition(seq)
+        # flips of a diagonal the sequence had already made twice
+        made = []
+        for rec in seq.records:
+            reflips += made.count(rec.removed) >= 2
+            made.append(rec.created)
+    assert reflips >= 20
+
+
 def test_is_topological_sort(square):
     seq = apply_sequence(square, [(0, 2), (1, 3)])
     dag = build_dag(seq)

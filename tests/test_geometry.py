@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flipdist import Triangulation, scan_triangulation
 from flipdist.geometry import (
     COLLINEAR,
     LEFT,
     RIGHT,
     Point,
     convex_hull,
+    cross,
     hull_boundary_chain,
     is_strictly_convex_quad,
     orientation,
@@ -111,3 +114,90 @@ def test_hull_boundary_chain_interior_point_excluded():
     pts = [P(0, 0, 0), P(4, 0, 1), P(2, 3, 2), P(2, 1, 3)]
     chain = hull_boundary_chain(pts)
     assert [p.id for p in chain] == [0, 1, 2]
+
+
+def test_convex_hull_of_collinear_points_is_empty():
+    assert convex_hull([P(0, 0, 0), P(1, 1, 1), P(2, 2, 2)]) == []
+
+
+# -- properties of the monotone chain sweep, on small grids where collinear
+# runs are common
+
+grid_coords = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=14, unique=True
+)
+SWEEP = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+def _points(coords):
+    return [P(x, y, i) for i, (x, y) in enumerate(coords)]
+
+
+def _on_segment(u, v, w):
+    """w lies on the closed segment uv."""
+    return (
+        cross(u, v, w) == 0
+        and min(u.x, v.x) <= w.x <= max(u.x, v.x)
+        and min(u.y, v.y) <= w.y <= max(u.y, v.y)
+    )
+
+
+def _no_point_right_of(pts, u, v):
+    return all(cross(u, v, w) >= 0 for w in pts)
+
+
+def _boundary_ids(pts):
+    """By definition: w is on the hull boundary iff it lies on a segment uv
+    with no point strictly right of u->v."""
+    return {
+        w.id
+        for u in pts
+        for v in pts
+        if u != v and _no_point_right_of(pts, u, v)
+        for w in pts
+        if _on_segment(u, v, w)
+    }
+
+
+def _collinear(pts):
+    return all(cross(pts[0], pts[1], w) == 0 for w in pts[2:])
+
+
+@SWEEP
+@given(grid_coords)
+def test_hull_boundary_chain_is_the_boundary_in_ccw_order(coords):
+    pts = _points(coords)
+    chain = hull_boundary_chain(pts)
+    if len(pts) < 3 or _collinear(pts):
+        assert chain is None
+        return
+    ids = [p.id for p in chain]
+    assert len(ids) == len(set(ids))
+    assert set(ids) == _boundary_ids(pts)
+    assert chain[0] == min(pts, key=lambda p: (p.x, p.y))
+    # every chain edge, the closing one included, keeps all points on its left
+    for u, v in zip(chain, chain[1:] + chain[:1]):
+        assert _no_point_right_of(pts, u, v)
+
+
+@SWEEP
+@given(grid_coords)
+def test_convex_hull_is_the_chain_corners(coords):
+    pts = _points(coords)
+    chain = hull_boundary_chain(pts) or []
+    # a corner lies strictly inside no segment between two other points
+    corners = [
+        w
+        for w in chain
+        if not any(_on_segment(u, v, w) for u in pts for v in pts if w not in (u, v))
+    ]
+    assert convex_hull(pts) == corners
+
+
+@SWEEP
+@given(grid_coords)
+def test_build_accepts_the_scan_triangulation(coords):
+    pts = _points(coords)
+    if len(pts) < 3 or _collinear(pts):
+        return
+    Triangulation.build(coords, scan_triangulation(coords))

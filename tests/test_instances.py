@@ -139,6 +139,13 @@ def test_generate_general_position():
             assert orientation(p, q, r) != 0
 
 
+def test_generate_more_than_500_points():
+    # each point gets its own 500 tries, so more than 500 points can be placed
+    inst = generate_instance(501, "random", 3, seed=1, span=10**6)
+    t0, t1 = inst.triangulations()
+    assert len(t0.ps) == 501 and t0.ps.hull_size >= 3
+
+
 def test_generate_rejects_bad_parameters():
     with pytest.raises(GenerationError):
         generate_instance(2, "random", 0, 1)
