@@ -191,6 +191,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if value < 0:
             print(f"bench: {flag} must be nonnegative, got {value}", file=sys.stderr)
             return EXIT_INPUT
+    if args.jobs < 1:
+        print(f"bench: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         sizes = [int(s) for s in args.n.split(",") if s.strip()]
     except ValueError:

@@ -17,7 +17,8 @@ The move-bearing kinds offer at most 4 targets each and the jump kinds
 at most 1, so no state ever has more than 14 legal actions.  _steps is
 the single statement of these semantics: the search expands plain
 tuples from it, and legal_actions wraps the same steps in Action and
-MachineState for callers that inspect one state.
+MachineState for callers that inspect one state.  _steps never flips;
+the search builds a flipped triangulation only for a successor it keeps.
 
 A full run splits k into a composition (k_1, .., k_t); iteration l
 starts at the next not-yet-restored edge of the initial triangulation
@@ -92,27 +93,30 @@ class SolverStats:
 
 
 def _steps(
-    tri: Triangulation, at: Edge, stack: tuple[Edge, ...]
-) -> Iterator[tuple[str, int, Triangulation, Edge, tuple[Edge, ...]]]:
+    tri: Triangulation, at: Edge, stack: tuple[Edge, ...], created: Edge | None
+) -> Iterator[tuple[str, int, Edge, tuple[Edge, ...]]]:
     """Every legal step from (tri, at, stack), in kind order, as
-    (kind, choice, triangulation, edge, stack) after the step.
+    (kind, choice, edge, stack) after the step.
 
-    Each step costs one action and every kind but MOVE flips once.
+    `created` is the diagonal a flip of `at` creates, or None when `at`
+    is not admissible.  Each step costs one action; MOVE keeps tri and
+    every other kind flips `at` once.
     """
     nbrs = tri.edges_sharing_triangle(at)
     for idx, e in enumerate(nbrs):
-        yield MOVE, idx, tri, e, stack
-    if tri.is_admissible(at):
-        t2, created = tri.apply_flip(at)
+        yield MOVE, idx, e, stack
+    if created is not None:
         for idx, e in enumerate(nbrs):
-            yield FLIP_MOVE, idx, t2, e, stack
+            yield FLIP_MOVE, idx, e, stack
         pushed = stack + (created,)
         for idx, e in enumerate(nbrs):
-            yield FLIP_PUSH_MOVE, idx, t2, e, pushed
-        if stack and stack[-1] in t2:
+            yield FLIP_PUSH_MOVE, idx, e, pushed
+        if stack:
             top = stack[-1]
-            yield FLIP_JUMP, 0, t2, top, stack
-            yield FLIP_JUMP_POP, 0, t2, top, stack[:-1]
+            # present after the flip, which removes `at` and adds `created`
+            if top == created or (top != at and top in tri):
+                yield FLIP_JUMP, 0, top, stack
+                yield FLIP_JUMP_POP, 0, top, stack[:-1]
 
 
 def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
@@ -122,9 +126,13 @@ def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
     business.  The result never exceeds MAX_ACTIONS_PER_STATE entries.
     """
     tri, at, stack, flips, acts = state
+    flipped, created = tri.apply_flip(at) if tri.is_admissible(at) else (None, None)
     out = [
-        (Action(kind, choice), MachineState(t2, e, stk, flips + (kind != MOVE), acts + 1))
-        for kind, choice, t2, e, stk in _steps(tri, at, stack)
+        (
+            Action(kind, choice),
+            MachineState(tri if kind == MOVE else flipped, e, stk, flips + (kind != MOVE), acts + 1),
+        )
+        for kind, choice, e, stk in _steps(tri, at, stack, created)
     ]
     assert len(out) <= MAX_ACTIONS_PER_STATE, f"{len(out)} actions from one state"
     return out
@@ -158,6 +166,11 @@ def iter_iteration_outcomes(
     must bring it to zero.  The count depends only on the edge mask,
     which is in the dedup key, so a key is cut on every visit or on none
     and the fewest-actions-first argument above still holds.
+
+    The cut, the outcome check and the dedup key all read the edge mask,
+    so they run on the flip's previewed mask, and the flipped
+    triangulation is built at most once per state, for the first flip
+    successor that survives them.
     """
     if flips_target <= 0:
         raise ValueError("an iteration must flip at least once")
@@ -179,37 +192,45 @@ def iter_iteration_outcomes(
     emitted: set[int] = set()
     while queue:
         cur, at, stack, flips, acts = pop()
+        created = flip_mask = flipped = None
+        if cur.is_admissible(at):
+            created, flip_mask = cur.flip_preview(at)
         # materialized so the counters are complete before any outcome is yielded
-        steps = list(_steps(cur, at, stack))
+        steps = list(_steps(cur, at, stack, created))
         if stats:
             stats.states_expanded += 1
             stats.actions_generated += len(steps)
             if len(steps) > stats.max_branching:
                 stats.max_branching = len(steps)
         acts += 1  # every step costs one action
-        for kind, _, t2, e, stk in steps:
-            f = flips if kind == MOVE else flips + 1
-            if cut and (t2.edge_mask & absent).bit_count() > flips_left - f:
+        for kind, _, e, stk in steps:
+            if kind == MOVE:
+                f, m = flips, cur.edge_mask
+            else:
+                f, m = flips + 1, flip_mask
+            if cut and (m & absent).bit_count() > flips_left - f:
                 if stats:
                     stats.lower_bound_cuts += 1
                 continue
             if f == flips_target:
-                m = t2.edge_mask
-                if m not in emitted:
-                    emitted.add(m)
-                    yield t2
-                continue
-            if acts >= budget:
-                continue
+                if m in emitted:
+                    continue
+                emitted.add(m)
             # each remaining flip costs at least one action
-            if f + (budget - acts) < flips_target:
+            elif acts >= budget or f + (budget - acts) < flips_target:
                 continue
-            if seen is not None:
-                key = (t2.edge_mask, e, stk, f)
+            elif seen is not None:
+                key = (m, e, stk, f)
                 if key in seen:
                     continue
                 seen.add(key)
-            queue.append((t2, e, stk, f, acts))
+            if kind != MOVE and flipped is None:
+                flipped = cur.apply_flip(at)[0]
+            t2 = cur if kind == MOVE else flipped
+            if f == flips_target:
+                yield t2
+            else:
+                queue.append((t2, e, stk, f, acts))
 
 
 def exists_solution_with_exactly_k_flips(

@@ -3,6 +3,8 @@
 Only meant for small point sets; everything here walks the implicit
 graph whose vertices are triangulations and whose edges are single
 admissible flips, deduplicating states by their edge-set fingerprint.
+Each successor is judged on its previewed edge mask (O(1)); only the
+successors a search keeps are built, which costs O(n) each.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ def bfs_distance(
     """Exact flip distance by breadth-first search, or None when it exceeds `cap`.
 
     Raises SearchBudgetExceeded after visiting more than `node_budget`
-    distinct triangulations.
+    distinct triangulations.  A new state is kept as (parent, flipped
+    edge) and built only when its level is expanded, so the last level
+    is never built.
     """
     ensure_same_points(start, goal)
     goal_mask = goal.edge_mask
@@ -49,8 +53,7 @@ def bfs_distance(
         nxt = []
         for tri in frontier:
             for e in tri.admissible_edges():
-                t2, _ = tri.apply_flip(e)
-                m = t2.edge_mask
+                _, m = tri.flip_preview(e)
                 if m in visited:
                     continue
                 if m == goal_mask:
@@ -62,10 +65,10 @@ def bfs_distance(
                     raise SearchBudgetExceeded(
                         f"flip-graph BFS exceeded {node_budget} triangulations"
                     )
-                nxt.append(t2)
+                nxt.append((tri, e))
         if not nxt:
             break
-        frontier = nxt
+        frontier = (t.apply_flip(e)[0] for t, e in nxt)
     if stats:
         stats.nodes_visited += len(visited)
     return None
@@ -97,16 +100,16 @@ def enumerate_minimal_solutions(
         nxt = []
         for tri in frontier:
             for e in tri.admissible_edges():
-                t2, _ = tri.apply_flip(e)
-                if t2.edge_mask in labels:
+                _, m = tri.flip_preview(e)
+                if m in labels:
                     continue
-                labels[t2.edge_mask] = depth
+                labels[m] = depth
                 if len(labels) > node_budget:
                     raise SearchBudgetExceeded(
                         f"geodesic labelling exceeded {node_budget} triangulations"
                     )
-                nxt.append(t2)
-        frontier = nxt
+                nxt.append((tri, e))
+        frontier = (t.apply_flip(e)[0] for t, e in nxt)
 
     found: list[list[Edge]] = []
 
@@ -118,10 +121,9 @@ def enumerate_minimal_solutions(
                 found.append(list(prefix))
             return
         for e in tri.admissible_edges():
-            t2, _ = tri.apply_flip(e)
-            if labels.get(t2.edge_mask) == remaining - 1:
+            if labels.get(tri.flip_preview(e)[1]) == remaining - 1:
                 prefix.append(e)
-                walk(t2, remaining - 1, prefix)
+                walk(tri.apply_flip(e)[0], remaining - 1, prefix)
                 prefix.pop()
                 if len(found) >= limit:
                     return
@@ -146,14 +148,15 @@ def enumerate_triangulations(
     while stack:
         tri = stack.pop()
         for e in tri.admissible_edges():
-            t2, _ = tri.apply_flip(e)
-            if t2.edge_mask in visited:
+            _, m = tri.flip_preview(e)
+            if m in visited:
                 continue
-            visited.add(t2.edge_mask)
+            visited.add(m)
             if len(visited) > node_budget:
                 raise SearchBudgetExceeded(
                     f"triangulation enumeration exceeded {node_budget} states"
                 )
+            t2, _ = tri.apply_flip(e)
             out.append(t2)
             stack.append(t2)
     return sorted(out, key=Triangulation.canonical_key)

@@ -306,6 +306,16 @@ class Triangulation:
 
     # -- the flip --------------------------------------------------------
 
+    def flip_preview(self, e: Edge) -> tuple[Edge, int]:
+        """(created diagonal, edge mask after the flip) of admissible edge e,
+        in O(1) and without building the flipped triangulation.
+
+        The caller vouches that e is admissible; nothing is checked.
+        """
+        created = self._opp[e]  # e's two apexes, already sorted
+        bit = self.ps.edge_bit
+        return created, self.edge_mask ^ bit(e) ^ bit(created)
+
     def apply_flip(self, e: Edge) -> tuple["Triangulation", Edge]:
         """Flip interior edge e; returns (new triangulation, created diagonal).
 
@@ -322,7 +332,7 @@ class Triangulation:
         if not self.ps.quad_convex(a, c, b, d):
             raise InadmissibleFlip(f"quadrilateral around {e} is not strictly convex")
 
-        created = (c, d)  # already sorted
+        created, mask = self.flip_preview(e)
         opp = dict(self._opp)
         del opp[e]
         opp[created] = (a, b)
@@ -336,7 +346,6 @@ class Triangulation:
                 other = sw[0] if sw[1] == old else sw[1]
                 opp[side] = (other, new) if other < new else (new, other)
 
-        mask = self.edge_mask ^ self.ps.edge_bit(e) ^ self.ps.edge_bit(created)
         return Triangulation(self.ps, opp, mask), created
 
     # -- identity --------------------------------------------------------

@@ -77,6 +77,20 @@ def searched_compositions(monkeypatch, start: Triangulation, goal: Triangulation
     return seqs
 
 
+def count_builds(monkeypatch) -> list[int]:
+    """Count Triangulation.apply_flip calls from here on; the count is the
+    single entry of the returned list."""
+    calls = [0]
+    real = Triangulation.apply_flip
+
+    def counted(self, e):
+        calls[0] += 1
+        return real(self, e)
+
+    monkeypatch.setattr(Triangulation, "apply_flip", counted)
+    return calls
+
+
 def random_walk(
     tri: Triangulation, steps: int, rng: random.Random
 ) -> list[tuple[Triangulation, tuple[int, int]]]:

@@ -255,3 +255,11 @@ def test_bench_rejects_negative_counts(flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_bench_rejects_jobs_below_one(jobs, capsys):
+    assert main(["bench", "--n", "5", "--trials", "1", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bench: --jobs must be at least 1" in captured.err

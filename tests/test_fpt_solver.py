@@ -1,8 +1,16 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
-from conftest import pentagon_fan, polygon_fans, random_pair, random_walk, searched_compositions
+from conftest import (
+    count_builds,
+    pentagon_fan,
+    polygon_fans,
+    random_pair,
+    random_walk,
+    searched_compositions,
+)
 from flipdist import (
     MachineState,
     SolverStats,
@@ -23,6 +31,7 @@ from flipdist.fpt_solver import (
     MOVE,
     iter_iteration_outcomes,
 )
+from flipdist.oracle import OracleStats
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +306,63 @@ def test_composition_tree_expands_no_more_states(pair, states):
     stats = SolverStats()
     assert fpt_distance(a, b, 6, True, stats) is not None
     assert stats.states_expanded <= states
+
+
+# exact counters of bfs_distance (OracleStats.nodes_visited) and of
+# fpt_distance(.., 6) with pruning on and off (SolverStats: states_expanded,
+# actions_generated, max_branching, compositions_tried, iterations_run,
+# lower_bound_cuts); any change in cuts, actions or visit order moves them.
+# The unpruned search on (14, 8, 2) runs too long for the suite.
+PINNED_COUNTS = {
+    (6, 4, 103): (9, (108, 562, 14, 2, 7, 132), (3073, 18520, 14, 5, 11, 0)),
+    (6, 4, 132): (9, (108, 560, 14, 2, 7, 132), (2929, 17366, 14, 5, 11, 0)),
+    (6, 4, 166): (6, (114, 560, 14, 2, 7, 80), (3332, 17630, 14, 7, 14, 0)),
+    (7, 4, 51): (19, (91, 542, 14, 2, 7, 164), (15647, 106804, 14, 14, 22, 0)),
+    (14, 8, 2): (11534, (254, 2012, 14, 1, 6, 894), None),
+}
+
+
+@pytest.mark.parametrize("pair", list(PINNED_COUNTS))
+def test_search_counters_are_pinned(pair):
+    visited, on, off = PINNED_COUNTS[pair]
+    a, b = generate_instance(pair[0], "random", pair[1], pair[2]).triangulations()
+    ostats = OracleStats()
+    d = bfs_distance(a, b, stats=ostats)
+    assert ostats.nodes_visited == visited
+    for prune, expected in ((True, on), (False, off)):
+        if expected is None:
+            continue
+        stats = SolverStats()
+        assert fpt_distance(a, b, 6, prune, stats) == d
+        assert astuple(stats) == expected
+
+
+# triangulations built (apply_flip calls) per search on the same pairs:
+# BFS builds only states it expands, so fewer than it visits (before the
+# mask-first successors: 17/17/9/38/58,090 built for 9/9/6/19/11,534
+# visited); fpt_distance(.., 6) builds at most once per expanded state,
+# and only for a kept flip successor (before: 27/27/21/29/122)
+BUILDS = {
+    (6, 4, 103): (6, 10),
+    (6, 4, 132): (6, 10),
+    (6, 4, 166): (4, 10),
+    (7, 4, 51): (11, 8),
+    (14, 8, 2): (4654, 17),
+}
+
+
+@pytest.mark.parametrize("pair", list(BUILDS))
+def test_searches_build_only_kept_states(monkeypatch, pair):
+    bfs_builds, fpt_builds = BUILDS[pair]
+    a, b = generate_instance(pair[0], "random", pair[1], pair[2]).triangulations()
+    built = count_builds(monkeypatch)
+    ostats = OracleStats()
+    bfs_distance(a, b, stats=ostats)
+    assert built[0] <= bfs_builds
+    assert built[0] < ostats.nodes_visited
+    built[0] = 0
+    assert fpt_distance(a, b, 6) is not None
+    assert built[0] <= fpt_builds
 
 
 def test_memo_shares_failures_across_prefixes():

@@ -200,6 +200,26 @@ def test_derived_triangles_round_trip():
                 assert len(t.triangles) == t.ps.expected_triangles
 
 
+def test_flip_preview_matches_apply_flip():
+    # the searches judge a successor on the preview and build only those
+    # they keep, so the preview must agree with the flip it stands for;
+    # the mask is also recomputed from the flipped apex map, bit by bit
+    rng = random.Random(14)
+    for n in range(5, 10):
+        for hull in ("random", "convex"):
+            for seed in range(3):
+                start, _ = generate_instance(n, hull, 0, 700 + 10 * n + seed).triangulations()
+                for tri, _ in random_walk(start, 10, rng):
+                    for e in tri.admissible_edges():
+                        flipped, created = tri.apply_flip(e)
+                        assert tri.flip_preview(e) == (created, flipped.edge_mask)
+                        assert changed_edges(flipped, tri) == {created}
+                        mask = 0
+                        for edge in flipped.edges():
+                            mask |= tri.ps.edge_bit(edge)
+                        assert flipped.edge_mask == mask
+
+
 def test_edges_sharing_triangle_square(square):
     assert square.edges_sharing_triangle((0, 2)) == ((0, 1), (0, 3), (1, 2), (2, 3))
     # a boundary edge lies in one triangle: exactly its two other sides
