@@ -14,7 +14,6 @@ from .geometry import (
     Point,
     is_strictly_convex_quad,
     orientation,
-    segments_cross,
 )
 from .triangulation import (
     Edge,
@@ -37,10 +36,6 @@ from .flip_dag import (
     build_dag,
     classify_essential,
     components,
-    is_topological_sort,
-    path_exists,
-    replay_permutation,
-    sample_topological_sorts,
 )
 from .oracle import (
     SearchBudgetExceeded,
@@ -76,7 +71,6 @@ __all__ = [
     "Point",
     "is_strictly_convex_quad",
     "orientation",
-    "segments_cross",
     "Edge",
     "Triangle",
     "PointSet",
@@ -95,10 +89,6 @@ __all__ = [
     "build_dag",
     "classify_essential",
     "components",
-    "is_topological_sort",
-    "path_exists",
-    "replay_permutation",
-    "sample_topological_sorts",
     "SearchBudgetExceeded",
     "bfs_distance",
     "enumerate_minimal_solutions",

@@ -64,7 +64,6 @@ def cmd_distance(args: argparse.Namespace) -> int:
             return EXIT_INPUT
     inst = _read_instance(args.file)
     initial, final = inst.triangulations()
-    prune = args.pruning == "on"
     k = args.k if args.k is not None else inst.k
     record = {
         "n": len(initial.ps),
@@ -97,7 +96,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
             k = distance
             record["k"] = k
         fstats = SolverStats()
-        decision = decide_flip_distance_eq(initial, final, k, prune, fstats)
+        decision = decide_flip_distance_eq(initial, final, k, stats=fstats)
         record["states_explored"] += fstats.states_expanded
 
     if args.engine == "oracle":
@@ -159,8 +158,8 @@ def cmd_dag(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_row(params: tuple[int, int, int, int, bool]) -> dict:
-    n, scramble, seed, cap, prune = params
+def _bench_row(params: tuple[int, int, int, int]) -> dict:
+    n, scramble, seed, cap = params
     inst = generate_instance(n, "random", scramble, seed)
     initial, final = inst.triangulations()
     row = {"n": n, "h": initial.ps.hull_size, "seed": seed, "scramble": scramble}
@@ -177,7 +176,7 @@ def _bench_row(params: tuple[int, int, int, int, bool]) -> dict:
 
     started = time.perf_counter()
     fstats = SolverStats()
-    decision = decide_flip_distance_eq(initial, final, distance, prune, fstats)
+    decision = decide_flip_distance_eq(initial, final, distance, stats=fstats)
     row["millis_fpt"] = round((time.perf_counter() - started) * 1000)
     row["states_fpt"] = fstats.states_expanded
     row["decision"] = decision
@@ -202,11 +201,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not sizes:
         print("bench: empty --n list", file=sys.stderr)
         return EXIT_INPUT
-    prune = args.pruning == "on"
     params = []
     for i, n in enumerate(sizes):
         for trial in range(args.trials):
-            params.append((n, args.scramble, args.seed + 1000 * i + trial, args.cap, prune))
+            params.append((n, args.scramble, args.seed + 1000 * i + trial, args.cap))
 
     started = time.perf_counter()
     # the fork start method launches every worker at the first submit, so
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("oracle", "fpt", "both"), default="both")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle BFS depth cap")
     p.add_argument("--k", type=int, default=None, help="override the instance k")
-    p.add_argument("--pruning", choices=("on", "off"), default="on")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("dag", help="dependency DAG of a flip sequence on the initial triangulation")
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--pruning", choices=("on", "off"), default="on")
     p.set_defaults(func=cmd_bench)
     return parser
 

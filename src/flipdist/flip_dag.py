@@ -5,12 +5,12 @@ whenever the diagonal created by f_i is still around just before f_j and
 f_j either removes exactly that diagonal or removes an edge sharing a
 triangle with it at that moment.  Any reordering of the sequence that
 respects these arcs replays without inadmissible flips and lands in the
-same final triangulation, which is what the tests here lean on.
+same final triangulation; the tests replay sampled topological sorts
+to check it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -94,29 +94,17 @@ class FlipDag:
     position.
     """
 
-    __slots__ = ("node_count", "arcs", "_succ", "_pred")
+    __slots__ = ("node_count", "arcs")
 
     def __init__(self, node_count: int, arcs: Iterable[tuple[int, int]]):
         self.node_count = node_count
         self.arcs: tuple[tuple[int, int], ...] = tuple(sorted(set(arcs)))
-        succ: dict[int, list[int]] = {i: [] for i in self.nodes()}
-        pred: dict[int, list[int]] = {i: [] for i in self.nodes()}
         for i, j in self.arcs:
             if not (1 <= i < j <= node_count):
                 raise ValueError(f"arc {(i, j)} is not forward within 1..{node_count}")
-            succ[i].append(j)
-            pred[j].append(i)
-        self._succ = {i: tuple(v) for i, v in succ.items()}
-        self._pred = {i: tuple(v) for i, v in pred.items()}
 
     def nodes(self) -> range:
         return range(1, self.node_count + 1)
-
-    def successors(self, i: int) -> tuple[int, ...]:
-        return self._succ[i]
-
-    def indegree(self, i: int) -> int:
-        return len(self._pred[i])
 
     def __repr__(self) -> str:
         return f"FlipDag({self.node_count} nodes, {len(self.arcs)} arcs)"
@@ -146,35 +134,6 @@ def build_dag(seq: FlipSequence) -> FlipDag:
                 arcs.append((creator[e], rec.position))
         creator[rec.created] = rec.position
     return FlipDag(len(seq.records), arcs)
-
-
-def is_topological_sort(dag: FlipDag, order: Sequence[int]) -> bool:
-    """True iff `order` is a permutation of the nodes respecting every arc."""
-    if sorted(order) != list(dag.nodes()):
-        raise ValueError("order is not a permutation of the DAG nodes")
-    pos = {node: idx for idx, node in enumerate(order)}
-    return all(pos[i] < pos[j] for i, j in dag.arcs)
-
-
-def replay_permutation(seq: FlipSequence, order: Sequence[int]) -> Triangulation:
-    """Apply the recorded flips in permuted order; returns the result.
-
-    The caller is expected to pass a topological sort of build_dag(seq);
-    an inadmissible replay then indicates a bug, hence RuntimeError.
-    """
-    if sorted(order) != list(range(1, len(seq) + 1)):
-        raise ValueError("order is not a permutation of the flip positions")
-    cur = seq.base
-    for node in order:
-        e = seq.records[node - 1].removed
-        try:
-            cur, _ = cur.apply_flip(e)
-        except InadmissibleFlip as exc:
-            raise RuntimeError(
-                f"replay of flip {node} ({e}) is inadmissible; "
-                "reorder respected the DAG, so this is a bug"
-            ) from exc
-    return cur
 
 
 def components(dag: FlipDag) -> list[tuple[int, ...]]:
@@ -212,53 +171,6 @@ def classify_essential(
         essential = any(seq.records[i - 1].removed in changed for i in comp)
         out.append((comp, essential))
     return out
-
-
-def path_exists(dag: FlipDag, i: int, j: int) -> bool:
-    """True iff there is a directed path from i to j (trivially when i == j)."""
-    for node in (i, j):
-        if not 1 <= node <= dag.node_count:
-            raise ValueError(f"node {node} is not in the DAG")
-    if i == j:
-        return True
-    stack = [i]
-    seen = {i}
-    while stack:
-        cur = stack.pop()
-        for nxt in dag.successors(cur):
-            if nxt == j:
-                return True
-            if nxt not in seen and nxt <= j:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
-def _kahn(dag: FlipDag, choose) -> list[int]:
-    indeg = {i: dag.indegree(i) for i in dag.nodes()}
-    ready = sorted(i for i in dag.nodes() if indeg[i] == 0)
-    out = []
-    while ready:
-        node = choose(ready)
-        ready.remove(node)
-        out.append(node)
-        for nxt in dag.successors(node):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    return out
-
-
-def sample_topological_sorts(
-    dag: FlipDag, rng: random.Random | None = None, samples: int = 3
-) -> list[list[int]]:
-    """Topological sorts to test with: lexicographically smallest, largest,
-    and `samples` random-tie-break draws."""
-    rng = rng or random.Random(0)
-    sorts = [_kahn(dag, min), _kahn(dag, max)]
-    for _ in range(samples):
-        sorts.append(_kahn(dag, rng.choice))
-    return sorts
 
 
 def arc_lines(dag: FlipDag) -> list[str]:

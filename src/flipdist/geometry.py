@@ -43,19 +43,6 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     return COLLINEAR
 
 
-def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff open segments ab and cd share an interior point.
-
-    Proper crossings only: touching at an endpoint, T-junctions and
-    collinear overlap all report False.
-    """
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
-
-
 def is_strictly_convex_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff a, b, c, d in this cyclic order form a strictly convex quadrilateral.
 

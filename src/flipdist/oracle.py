@@ -3,13 +3,16 @@
 Only meant for small point sets; everything here walks the implicit
 graph whose vertices are triangulations and whose edges are single
 admissible flips, deduplicating states by their edge-set fingerprint.
-Each successor is judged on its previewed edge mask (O(1)); only the
-successors a search keeps are built, which costs O(n) each.
+Each successor is judged on the edge mask Triangulation.flips() gives
+it (O(1)); only the successors a search keeps are built, which costs
+O(n) each.  Distances and geodesic labels come from one breadth-first
+walk, _bfs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .flip_dag import FlipSequence, apply_sequence
 from .triangulation import Edge, Triangulation, ensure_same_points
@@ -27,6 +30,36 @@ class OracleStats:
     nodes_visited: int = 0
 
 
+def _bfs(
+    root: Triangulation, max_depth: int, node_budget: int, what: str
+) -> Iterator[tuple[int, int]]:
+    """Yield (depth, edge mask) for every triangulation within `max_depth`
+    flips of root, each once, level by level.
+
+    A new state is kept as (parent, flipped edge) and built only when its
+    level is expanded, so the last level is never built.  Each state is
+    yielded before the budget check, so a caller that stops at its goal
+    finds it even on the state that would exceed `node_budget`.
+    """
+    yield 0, root.edge_mask
+    visited = {root.edge_mask}
+    frontier: Iterable[Triangulation] = [root]
+    for depth in range(1, max_depth + 1):
+        nxt = []
+        for tri in frontier:
+            for e, m in tri.flips():
+                if m in visited:
+                    continue
+                visited.add(m)
+                yield depth, m
+                if len(visited) > node_budget:
+                    raise SearchBudgetExceeded(f"{what} exceeded {node_budget} triangulations")
+                nxt.append((tri, e))
+        if not nxt:
+            return
+        frontier = (t.apply_flip(e)[0] for t, e in nxt)
+
+
 def bfs_distance(
     start: Triangulation,
     goal: Triangulation,
@@ -37,41 +70,20 @@ def bfs_distance(
     """Exact flip distance by breadth-first search, or None when it exceeds `cap`.
 
     Raises SearchBudgetExceeded after visiting more than `node_budget`
-    distinct triangulations.  A new state is kept as (parent, flipped
-    edge) and built only when its level is expanded, so the last level
-    is never built.
+    distinct triangulations.
     """
     ensure_same_points(start, goal)
     goal_mask = goal.edge_mask
-    if start.edge_mask == goal_mask:
-        if stats:
-            stats.nodes_visited += 1
-        return 0
-    visited = {start.edge_mask}
-    frontier = [start]
-    for depth in range(1, cap + 1):
-        nxt = []
-        for tri in frontier:
-            for e in tri.admissible_edges():
-                _, m = tri.flip_preview(e)
-                if m in visited:
-                    continue
-                if m == goal_mask:
-                    if stats:
-                        stats.nodes_visited += len(visited) + 1
-                    return depth
-                visited.add(m)
-                if len(visited) > node_budget:
-                    raise SearchBudgetExceeded(
-                        f"flip-graph BFS exceeded {node_budget} triangulations"
-                    )
-                nxt.append((tri, e))
-        if not nxt:
+    visited = 0
+    for depth, m in _bfs(start, cap, node_budget, "flip-graph BFS"):
+        visited += 1
+        if m == goal_mask:
             break
-        frontier = (t.apply_flip(e)[0] for t, e in nxt)
+    else:
+        depth = None
     if stats:
-        stats.nodes_visited += len(visited)
-    return None
+        stats.nodes_visited += visited
+    return depth
 
 
 def enumerate_minimal_solutions(
@@ -94,23 +106,7 @@ def enumerate_minimal_solutions(
             raise ValueError("distance 0 given for distinct triangulations")
         return [apply_sequence(start, [])]
 
-    labels = {goal.edge_mask: 0}
-    frontier = [goal]
-    for depth in range(1, distance):
-        nxt = []
-        for tri in frontier:
-            for e in tri.admissible_edges():
-                _, m = tri.flip_preview(e)
-                if m in labels:
-                    continue
-                labels[m] = depth
-                if len(labels) > node_budget:
-                    raise SearchBudgetExceeded(
-                        f"geodesic labelling exceeded {node_budget} triangulations"
-                    )
-                nxt.append((tri, e))
-        frontier = (t.apply_flip(e)[0] for t, e in nxt)
-
+    labels = {m: d for d, m in _bfs(goal, distance - 1, node_budget, "geodesic labelling")}
     found: list[list[Edge]] = []
 
     def walk(tri: Triangulation, remaining: int, prefix: list[Edge]) -> None:
@@ -120,8 +116,8 @@ def enumerate_minimal_solutions(
             if tri.edge_mask == goal.edge_mask:
                 found.append(list(prefix))
             return
-        for e in tri.admissible_edges():
-            if labels.get(tri.flip_preview(e)[1]) == remaining - 1:
+        for e, m in tri.flips():
+            if labels.get(m) == remaining - 1:
                 prefix.append(e)
                 walk(tri.apply_flip(e)[0], remaining - 1, prefix)
                 prefix.pop()
@@ -147,8 +143,7 @@ def enumerate_triangulations(
     stack = [seed]
     while stack:
         tri = stack.pop()
-        for e in tri.admissible_edges():
-            _, m = tri.flip_preview(e)
+        for e, m in tri.flips():
             if m in visited:
                 continue
             visited.add(m)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     Point,
@@ -277,8 +277,18 @@ class Triangulation:
             return False
         return self.ps.quad_convex(e[0], ws[0], e[1], ws[1])
 
+    def flips(self) -> Iterator[tuple[Edge, int]]:
+        """(edge, edge mask after flipping it) for each admissible edge, in
+        canonical edge order; O(1) per edge, and nothing is built."""
+        opp, mask, quad = self._opp, self.edge_mask, self.ps.quad_convex
+        bit = self.ps.edge_bit
+        for e in self.edges():
+            ws = opp[e]
+            if len(ws) == 2 and quad(e[0], ws[0], e[1], ws[1]):
+                yield e, mask ^ bit(e) ^ bit(ws)
+
     def admissible_edges(self) -> list[Edge]:
-        return [e for e in self.edges() if self.is_admissible(e)]
+        return [e for e, _ in self.flips()]
 
     def edges_sharing_triangle(self, e: Edge) -> tuple[Edge, ...]:
         """Edges that lie in a common triangle with e, canonically sorted.
@@ -291,18 +301,6 @@ class Triangulation:
         a, b = e
         out = {make_edge(a, w) for w in ws} | {make_edge(b, w) for w in ws}
         return tuple(sorted(out))
-
-    def edges_share_triangle(self, e1: Edge, e2: Edge) -> bool:
-        """True iff distinct edges e1 and e2 are sides of one common triangle."""
-        if e1 == e2 or e1 not in self._opp or e2 not in self._opp:
-            return False
-        common = set(e1) & set(e2)
-        if len(common) != 1:
-            return False
-        u = common.pop()
-        (v,) = set(e1) - {u}
-        (w,) = set(e2) - {u}
-        return w in self._opp[make_edge(u, v)]
 
     # -- the flip --------------------------------------------------------
 

@@ -1,18 +1,26 @@
-"""Shared fixtures: small hand-checked point sets and walk helpers."""
+"""Shared fixtures: small hand-checked point sets, walk helpers, and the
+checks the tests make on flip sequences and their dependency DAGs."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from typing import Sequence
 
 import pytest
 
 from flipdist import (
+    FlipDag,
+    FlipSequence,
+    Point,
     PointSet,
     Triangulation,
+    apply_sequence,
     changed_edges,
     exists_solution_with_exactly_k_flips,
     fpt_solver,
     generate_instance,
+    orientation,
 )
 
 SQUARE_POINTS = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -110,6 +118,85 @@ def random_walk(
 def random_pair(n: int, scramble: int, seed: int) -> tuple[Triangulation, Triangulation]:
     inst = generate_instance(n, "random", scramble, seed)
     return inst.triangulations()
+
+
+def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True iff open segments ab and cd share an interior point.
+
+    Proper crossings only: touching at an endpoint, T-junctions and
+    collinear overlap all report False.
+    """
+    o1 = orientation(a, b, c)
+    o2 = orientation(a, b, d)
+    o3 = orientation(c, d, a)
+    o4 = orientation(c, d, b)
+    return o1 * o2 < 0 and o3 * o4 < 0
+
+
+def share_triangle(tri: Triangulation, e1, e2) -> bool:
+    """True iff distinct edges e1 and e2 are sides of one common triangle."""
+    return e1 in tri and e2 in tri and e2 in tri.edges_sharing_triangle(e1)
+
+
+def replay(seq: FlipSequence, order: Sequence[int]) -> Triangulation:
+    """The recorded flips of seq applied in the order of their 1-based positions."""
+    return apply_sequence(seq.base, [seq.records[i - 1].removed for i in order]).final
+
+
+def indegrees(dag: FlipDag) -> Counter:
+    return Counter(j for _, j in dag.arcs)
+
+
+def is_topological_sort(dag: FlipDag, order: Sequence[int]) -> bool:
+    """True iff `order` is a permutation of the nodes respecting every arc."""
+    if sorted(order) != list(dag.nodes()):
+        raise ValueError("order is not a permutation of the DAG nodes")
+    pos = {node: idx for idx, node in enumerate(order)}
+    return all(pos[i] < pos[j] for i, j in dag.arcs)
+
+
+def path_exists(dag: FlipDag, i: int, j: int) -> bool:
+    """True iff there is a directed path from i to j (trivially when i == j).
+
+    Arcs are sorted and go forward, so every arc into a node comes before
+    the arcs out of it.
+    """
+    for node in (i, j):
+        if not 1 <= node <= dag.node_count:
+            raise ValueError(f"node {node} is not in the DAG")
+    reached = {i}
+    for a, b in dag.arcs:
+        if a in reached:
+            reached.add(b)
+    return j in reached
+
+
+def _kahn(dag: FlipDag, choose) -> list[int]:
+    indeg = indegrees(dag)
+    ready = sorted(i for i in dag.nodes() if indeg[i] == 0)
+    out = []
+    while ready:
+        node = choose(ready)
+        ready.remove(node)
+        out.append(node)
+        for a, b in dag.arcs:
+            if a == node:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    ready.append(b)
+    return out
+
+
+def sample_topological_sorts(
+    dag: FlipDag, rng: random.Random | None = None, samples: int = 3
+) -> list[list[int]]:
+    """Topological sorts to test with: lexicographically smallest, largest,
+    and `samples` random-tie-break draws."""
+    rng = rng or random.Random(0)
+    sorts = [_kahn(dag, min), _kahn(dag, max)]
+    for _ in range(samples):
+        sorts.append(_kahn(dag, rng.choice))
+    return sorts
 
 
 @pytest.fixture

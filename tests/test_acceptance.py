@@ -27,14 +27,20 @@ from flipdist import (
     decide_flip_distance_eq,
     enumerate_minimal_solutions,
     generate_instance,
-    path_exists,
-    replay_permutation,
-    sample_topological_sorts,
 )
 from flipdist.flip_dag import FlipDag
-from flipdist.geometry import segments_cross
 
-from conftest import polygon_fans, random_walk, searched_compositions
+from conftest import (
+    indegrees,
+    path_exists,
+    polygon_fans,
+    random_walk,
+    replay,
+    sample_topological_sorts,
+    searched_compositions,
+    segments_cross,
+    share_triangle,
+)
 
 ORACLE_BUDGET_SECONDS = 600.0
 RAW_BUDGET_SECONDS = 60.0
@@ -160,7 +166,7 @@ def test_criterion_2_topological_replay(corpus_dags):
     for seq, dag in corpus_dags:
         for order in sample_topological_sorts(dag, rng, samples=3):
             checked += 1
-            if replay_permutation(seq, order) != seq.final:
+            if replay(seq, order) != seq.final:
                 violations += 1
     report(
         "every sampled topological sort replays to the same final triangulation",
@@ -176,7 +182,7 @@ def test_criterion_3_indegree_bound(corpus_dags, minimal_solutions):
         if len(dag.arcs) > 5 * dag.node_count:
             bad += 1
             continue
-        if any(dag.indegree(v) > 5 for v in dag.nodes()):
+        if any(c > 5 for c in indegrees(dag).values()):
             bad += 1
     report(
         "dependency DAGs: indegree <= 5 and arcs <= 5*nodes",
@@ -211,7 +217,7 @@ def test_criterion_5_path_conditions(minimal_solutions):
                         pts[fi.removed[0]], pts[fi.removed[1]],
                     )
                     shares = any(
-                        seq.snapshots[j].edges_share_triangle(fi.created, fh.removed)
+                        share_triangle(seq.snapshots[j], fi.created, fh.removed)
                         for j in range(i, h)
                     )
                     implies_path = (

@@ -1,6 +1,7 @@
 """The public surface: exported names and what the benchmark imports."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,24 @@ def test_benchmark_modules_import():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# exported names with no caller yet; ROADMAP item 1 gives
+# enumerate_triangulations one (the slack strata enumerate convex polygons)
+NOT_YET_CALLED = {"enumerate_triangulations"}
+
+
+def test_every_exported_name_has_a_caller():
+    # an exported name must be used by the library itself or by the
+    # benchmark; one that only the tests call belongs in tests/
+    sources = [
+        p.read_text() for p in (ROOT / "src" / "flipdist").glob("*.py") if p.name != "__init__.py"
+    ] + [p.read_text() for p in (ROOT / "bench").glob("*.py")]
+    unused = []
+    for name in flipdist.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        definition = re.compile(rf"^(?:class|def) {re.escape(name)}\b|^{re.escape(name)}\s*[:=]", re.M)
+        uses = sum(len(word.findall(src)) - len(definition.findall(src)) for src in sources)
+        if uses == 0:
+            unused.append(name)
+    assert sorted(set(unused) - NOT_YET_CALLED) == []

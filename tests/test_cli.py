@@ -157,9 +157,14 @@ def test_distance_rejects_negative_cap(square_file, engine, capsys):
     assert "--cap must be nonnegative" in captured.err
 
 
-def test_distance_pruning_flag_accepted(square_file, capsys):
-    assert main(["distance", square_file, "--pruning", "off"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["agree"] is True
+@pytest.mark.parametrize("command", ["distance", "bench"])
+def test_pruning_flag_removed(square_file, command, capsys):
+    # the unpruned search has no budget, so the CLI does not offer it
+    argv = [command, square_file] if command == "distance" else [command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--pruning", "off"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --pruning off" in capsys.readouterr().err
 
 
 def test_dag_output(square_file, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import segments_cross
 from flipdist import Triangulation, scan_triangulation
 from flipdist.geometry import (
     COLLINEAR,
@@ -15,7 +16,6 @@ from flipdist.geometry import (
     is_strictly_convex_quad,
     orientation,
     polygon_area2,
-    segments_cross,
 )
 
 

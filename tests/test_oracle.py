@@ -8,6 +8,7 @@ from flipdist import (
     bfs_distance,
     enumerate_minimal_solutions,
     enumerate_triangulations,
+    generate_instance,
 )
 from flipdist.oracle import OracleStats
 
@@ -64,6 +65,33 @@ def test_node_budget_exceeded(fans):
     # first expansion inserts a non-goal neighbor, blowing a budget of 1
     with pytest.raises(SearchBudgetExceeded):
         bfs_distance(fans[0], fans[1], node_budget=1)
+
+
+# (search, the last node budget that raises, the result one above it).
+# All three walk the flip graph through Triangulation.flips(); bfs_distance
+# finds its goal before the budget check of the goal's own state.
+BUDGET_BOUNDARIES = [
+    ("bfs_distance", 17, 4),
+    ("enumerate_minimal_solutions", 19, 4),
+    ("enumerate_triangulations", 13, 14),
+]
+
+
+def _run_search(search: str, node_budget: int) -> int:
+    a, b = generate_instance(7, "random", 4, 51).triangulations()
+    if search == "bfs_distance":
+        return bfs_distance(a, b, node_budget=node_budget)
+    if search == "enumerate_minimal_solutions":
+        return len(enumerate_minimal_solutions(a, b, 4, node_budget=node_budget))
+    hexagon, _ = generate_instance(6, "convex", 0, 1).triangulations()
+    return len(enumerate_triangulations(hexagon, node_budget=node_budget))
+
+
+@pytest.mark.parametrize("search, last_raising, result", BUDGET_BOUNDARIES)
+def test_node_budget_boundary(search, last_raising, result):
+    with pytest.raises(SearchBudgetExceeded):
+        _run_search(search, last_raising)
+    assert _run_search(search, last_raising + 1) == result
 
 
 def test_stats_counts_nodes(square):

@@ -11,6 +11,7 @@ from conftest import (
     pentagon_fan,
     random_pair,
     random_walk,
+    share_triangle,
 )
 from flipdist import (
     InadmissibleFlip,
@@ -201,8 +202,9 @@ def test_derived_triangles_round_trip():
 
 
 def test_flip_preview_matches_apply_flip():
-    # the searches judge a successor on the preview and build only those
-    # they keep, so the preview must agree with the flip it stands for;
+    # the searches judge a successor on the preview (or on flips(), which
+    # fuses it with the admissibility test) and build only those they
+    # keep, so the preview must agree with the flip it stands for;
     # the mask is also recomputed from the flipped apex map, bit by bit
     rng = random.Random(14)
     for n in range(5, 10):
@@ -210,6 +212,9 @@ def test_flip_preview_matches_apply_flip():
             for seed in range(3):
                 start, _ = generate_instance(n, hull, 0, 700 + 10 * n + seed).triangulations()
                 for tri, _ in random_walk(start, 10, rng):
+                    assert list(tri.flips()) == [
+                        (e, tri.flip_preview(e)[1]) for e in tri.edges() if tri.is_admissible(e)
+                    ]
                     for e in tri.admissible_edges():
                         flipped, created = tri.apply_flip(e)
                         assert tri.flip_preview(e) == (created, flipped.edge_mask)
@@ -241,10 +246,11 @@ def test_edges_sharing_triangle_counts_exhaustive(pentagon_ps):
 
 
 def test_edges_share_triangle(square):
-    assert square.edges_share_triangle((0, 1), (0, 2))
-    assert not square.edges_share_triangle((0, 1), (2, 3))
-    assert not square.edges_share_triangle((0, 1), (0, 1))
-    assert not square.edges_share_triangle((0, 1), (1, 3))  # absent edge
+    assert share_triangle(square, (0, 1), (0, 2))
+    assert not share_triangle(square, (0, 1), (2, 3))
+    assert not share_triangle(square, (0, 1), (0, 1))
+    assert not share_triangle(square, (0, 1), (1, 3))  # absent edge
+    assert not share_triangle(square, (1, 3), (0, 1))
 
 
 def test_changed_edges(square):
