@@ -15,10 +15,11 @@ stack of edges, flips done, actions done), and the five action kinds are
 
 The move-bearing kinds offer at most 4 targets each and the jump kinds
 at most 1, so no state ever has more than 14 legal actions.  _steps is
-the single statement of these semantics: the search expands plain
-tuples from it, and legal_actions wraps the same steps in Action and
-MachineState for callers that inspect one state.  _steps never flips;
-the search builds a flipped triangulation only for a successor it keeps.
+the single statement of these semantics, as at most five step groups
+per state (one per kind; its steps differ only in the target edge): the
+search judges each group once, and legal_actions expands the groups for
+callers that inspect one state.  _steps never flips; the search builds
+a flipped triangulation only for a successor it keeps.
 
 A full run splits k into a composition (k_1, .., k_t); iteration l
 starts at the next not-yet-restored edge of the initial triangulation
@@ -36,9 +37,9 @@ flip distance.  decide_flip_distance_eq asks it for the distance, capped
 at k.
 
 With prune=True the search remembers failed tree nodes and applies the
-changed-edge lower bound at every level: a triangulation with w edges
-absent from the target needs at least w more flips, so a branch with
-fewer flips left is cut (SolverStats.lower_bound_cuts counts the cuts).
+changed-edge lower bound at the root and in every iteration: a
+triangulation with w edges absent from the target needs at least w more
+flips, so a branch with fewer flips left is cut (and counted in stats).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ FLIP_MOVE = "flip_move"
 FLIP_PUSH_MOVE = "flip_push_move"
 FLIP_JUMP = "flip_jump"
 FLIP_JUMP_POP = "flip_jump_pop"
-ACTION_KINDS = (MOVE, FLIP_MOVE, FLIP_PUSH_MOVE, FLIP_JUMP, FLIP_JUMP_POP)
 
 # 4 moves + 4 flip-moves + 4 flip-push-moves + jump + jump-pop
 MAX_ACTIONS_PER_STATE = 14
@@ -94,29 +94,24 @@ class SolverStats:
 
 def _steps(
     tri: Triangulation, at: Edge, stack: tuple[Edge, ...], created: Edge | None
-) -> Iterator[tuple[str, int, Edge, tuple[Edge, ...]]]:
-    """Every legal step from (tri, at, stack), in kind order, as
-    (kind, choice, edge, stack) after the step.
-
-    `created` is the diagonal a flip of `at` creates, or None when `at`
-    is not admissible.  Each step costs one action; MOVE keeps tri and
-    every other kind flips `at` once.
+) -> Iterator[tuple[str, tuple[Edge, ...], tuple[Edge, ...]]]:
+    """Every legal step from (tri, at, stack) as at most five groups, one
+    per kind in kind order: (kind, target edges, stack after the step),
+    one step per target.  `created` is the diagonal a flip of `at`
+    creates, or None when `at` is not admissible.  Each step costs one
+    action; MOVE keeps tri and every other kind flips `at` once.
     """
     nbrs = tri.edges_sharing_triangle(at)
-    for idx, e in enumerate(nbrs):
-        yield MOVE, idx, e, stack
+    yield MOVE, nbrs, stack
     if created is not None:
-        for idx, e in enumerate(nbrs):
-            yield FLIP_MOVE, idx, e, stack
-        pushed = stack + (created,)
-        for idx, e in enumerate(nbrs):
-            yield FLIP_PUSH_MOVE, idx, e, pushed
+        yield FLIP_MOVE, nbrs, stack
+        yield FLIP_PUSH_MOVE, nbrs, stack + (created,)
         if stack:
             top = stack[-1]
             # present after the flip, which removes `at` and adds `created`
             if top == created or (top != at and top in tri):
-                yield FLIP_JUMP, 0, top, stack
-                yield FLIP_JUMP_POP, 0, top, stack[:-1]
+                yield FLIP_JUMP, (top,), stack
+                yield FLIP_JUMP_POP, (top,), stack[:-1]
 
 
 def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
@@ -126,13 +121,14 @@ def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
     business.  The result never exceeds MAX_ACTIONS_PER_STATE entries.
     """
     tri, at, stack, flips, acts = state
-    flipped, created = tri.apply_flip(at) if tri.is_admissible(at) else (None, None)
+    flipped, created = tri.apply_flip(at) if tri.flip_preview(at) else (None, None)
     out = [
         (
             Action(kind, choice),
             MachineState(tri if kind == MOVE else flipped, e, stk, flips + (kind != MOVE), acts + 1),
         )
-        for kind, choice, e, stk in _steps(tri, at, stack, created)
+        for kind, targets, stk in _steps(tri, at, stack, created)
+        for choice, e in enumerate(targets)
     ]
     assert len(out) <= MAX_ACTIONS_PER_STATE, f"{len(out)} actions from one state"
     return out
@@ -167,10 +163,11 @@ def iter_iteration_outcomes(
     which is in the dedup key, so a key is cut on every visit or on none
     and the fewest-actions-first argument above still holds.
 
-    The cut, the outcome check and the dedup key all read the edge mask,
-    so they run on the flip's previewed mask, and the flipped
+    The cut, the outcome check and the action budget read only the flip
+    count and the edge mask, so they run once per step group (a cut group
+    counts one cut per target), on the flip's previewed mask; the flipped
     triangulation is built at most once per state, for the first flip
-    successor that survives them.
+    successor that is kept.
     """
     if flips_target <= 0:
         raise ValueError("an iteration must flip at least once")
@@ -192,44 +189,41 @@ def iter_iteration_outcomes(
     emitted: set[int] = set()
     while queue:
         cur, at, stack, flips, acts = pop()
-        created = flip_mask = flipped = None
-        if cur.is_admissible(at):
-            created, flip_mask = cur.flip_preview(at)
+        created, flip_mask = cur.flip_preview(at) or (None, None)
+        flipped = None
         # materialized so the counters are complete before any outcome is yielded
-        steps = list(_steps(cur, at, stack, created))
+        groups = list(_steps(cur, at, stack, created))
         if stats:
+            branching = sum(len(targets) for _, targets, _ in groups)
             stats.states_expanded += 1
-            stats.actions_generated += len(steps)
-            if len(steps) > stats.max_branching:
-                stats.max_branching = len(steps)
+            stats.actions_generated += branching
+            stats.max_branching = max(stats.max_branching, branching)
         acts += 1  # every step costs one action
-        for kind, _, e, stk in steps:
-            if kind == MOVE:
-                f, m = flips, cur.edge_mask
-            else:
-                f, m = flips + 1, flip_mask
+        for kind, targets, stk in groups:
+            f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
             if cut and (m & absent).bit_count() > flips_left - f:
                 if stats:
-                    stats.lower_bound_cuts += 1
+                    stats.lower_bound_cuts += len(targets)
                 continue
             if f == flips_target:
-                if m in emitted:
-                    continue
-                emitted.add(m)
-            # each remaining flip costs at least one action
-            elif acts >= budget or f + (budget - acts) < flips_target:
+                # only flip groups get here (queued states have fewer
+                # flips), and all of them reach the one outcome
+                if m not in emitted:
+                    emitted.add(m)
+                    yield cur.apply_flip(at)[0]
                 continue
-            elif seen is not None:
-                key = (m, e, stk, f)
-                if key in seen:
-                    continue
-                seen.add(key)
-            if kind != MOVE and flipped is None:
-                flipped = cur.apply_flip(at)[0]
+            # each remaining flip costs at least one action (so acts >= budget drops too)
+            if f + (budget - acts) < flips_target:
+                continue
             t2 = cur if kind == MOVE else flipped
-            if f == flips_target:
-                yield t2
-            else:
+            for e in targets:
+                if seen is not None:
+                    key = (m, e, stk, f)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                if t2 is None:
+                    t2 = flipped = cur.apply_flip(at)[0]
                 queue.append((t2, e, stk, f, acts))
 
 
@@ -251,15 +245,17 @@ def exists_solution_with_exactly_k_flips(
     and recurses on every outcome, so a shared prefix runs once, and
     compositions are met in lexicographic order.
 
-    With prune=True a node is cut when tri has more goal-absent edges
-    than the `rest` flips left (each flip removes one edge, so it lowers
-    that count by at most one; for k below the changed-edge count the
-    root is cut), and failed nodes are memoized on (rest, cursor, edge
-    mask).  The memo is sound because attempt's answer depends only on
-    those three: over a fixed point set the mask determines the
-    triangulation, and order, goal and prune are fixed for the call, so
-    a failure recorded under one prefix holds under every prefix.  That
-    key is coarser than the remaining parts' tuple, and never wrong.
+    With prune=True a root with 0 < k < |changed edges| is cut (each flip
+    removes one edge, so it lowers the count of goal-absent edges by at
+    most one; k = 0 is left to the mask comparison).  No node below the
+    root needs that check: the pruned iteration that made it already
+    dropped every outcome with more goal-absent edges than the `rest`
+    flips left.  Failed nodes are memoized on (rest, cursor, edge mask).
+    The memo is sound because attempt's answer depends only on those
+    three: over a fixed point set the mask determines the triangulation,
+    and order, goal and prune are fixed for the call, so a failure
+    recorded under one prefix holds under every prefix.  That key is
+    coarser than the remaining parts' tuple, and never wrong.
     prune=False is the plain depth-first reference: no memo, no cuts.
     """
     ensure_same_points(start, goal)
@@ -267,16 +263,11 @@ def exists_solution_with_exactly_k_flips(
         raise ValueError("k must be nonnegative")
     order = sorted(changed_edges(start, goal))
     goal_mask = goal.edge_mask
-    absent = ~goal_mask
     failed: set[tuple[int, int, int]] = set()
 
     def attempt(tri: Triangulation, cursor: int, rest: int) -> bool:
         if rest == 0:
             return tri.edge_mask == goal_mask
-        if prune and (tri.edge_mask & absent).bit_count() > rest:
-            if stats:
-                stats.lower_bound_cuts += 1
-            return False
         # skip edges already absent; they never return once their
         # component has run (absent edges of `order` stay absent)
         while cursor < len(order) and order[cursor] not in tri:
@@ -300,6 +291,10 @@ def exists_solution_with_exactly_k_flips(
             failed.add(key)
         return False
 
+    if prune and 0 < k < len(order):
+        if stats:
+            stats.lower_bound_cuts += 1
+        return False
     return attempt(start, 0, k)
 
 

@@ -101,6 +101,8 @@ def enumerate_minimal_solutions(
     distance to the goal, then walking label-descending paths from start.
     """
     ensure_same_points(start, goal)
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
     if distance == 0:
         if start.edge_mask != goal.edge_mask:
             raise ValueError("distance 0 given for distinct triangulations")
@@ -109,9 +111,8 @@ def enumerate_minimal_solutions(
     labels = {m: d for d, m in _bfs(goal, distance - 1, node_budget, "geodesic labelling")}
     found: list[list[Edge]] = []
 
+    # walk is entered only while fewer than `limit` sequences are found
     def walk(tri: Triangulation, remaining: int, prefix: list[Edge]) -> None:
-        if len(found) >= limit:
-            return
         if remaining == 0:
             if tri.edge_mask == goal.edge_mask:
                 found.append(list(prefix))

@@ -57,15 +57,14 @@ class PointSet:
 
     Construction validates coordinates (integers within 32-bit range, no
     duplicates, not all collinear) and precomputes everything every
-    triangulation of the set has in common: the hull boundary chain, the
-    boundary edge set, the triangle count forced by Euler's formula,
-    one bit per point pair for edge-set fingerprints, and a cache of
+    triangulation of the set has in common: the boundary edges of the
+    hull chain, the triangle count forced by Euler's formula, one bit per
+    point pair for edge-set fingerprints, and a cache of
     convex-quadrilateral verdicts.
     """
 
     __slots__ = (
         "points",
-        "boundary_chain",
         "boundary_edges",
         "hull_size",
         "expected_triangles",
@@ -97,7 +96,6 @@ class PointSet:
         chain = hull_boundary_chain(self.points)
         if chain is None:
             raise InvalidTriangulation("all points are collinear")
-        self.boundary_chain = tuple(p.id for p in chain)
         h = len(chain)
         self.boundary_edges = frozenset(
             make_edge(chain[i].id, chain[(i + 1) % h].id) for i in range(h)
@@ -144,22 +142,20 @@ class Triangulation:
     The state is the edge->apex map and `edge_mask`, which ORs one bit per
     present edge; over a fixed point set the edge set determines the
     triangulation, so the mask doubles as a cheap in-process fingerprint
-    for dedup tables.  `triangles` is derived from the apex map on each
-    access.  The byte string returned by canonical_key() is the stable,
-    inspectable encoding of the triangle set.
+    for dedup tables.  `triangles`, `edges()` and canonical_key(), the
+    stable, inspectable byte encoding of the triangle set, are derived
+    from the apex map on each call; nothing is cached.
 
     Instances are created by build() (validating) or by apply_flip(); the
     bare constructor trusts its arguments.
     """
 
-    __slots__ = ("ps", "edge_mask", "_opp", "_ckey", "_edges")
+    __slots__ = ("ps", "edge_mask", "_opp")
 
     def __init__(self, ps: PointSet, opp: dict[Edge, tuple[int, ...]], edge_mask: int):
         self.ps = ps
         self._opp = opp
         self.edge_mask = edge_mask
-        self._ckey: bytes | None = None
-        self._edges: tuple[Edge, ...] | None = None
 
     @classmethod
     def build(
@@ -266,20 +262,12 @@ class Triangulation:
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges in canonical sorted order."""
-        if self._edges is None:
-            self._edges = tuple(sorted(self._opp))
-        return self._edges
-
-    def is_admissible(self, e: Edge) -> bool:
-        """True iff e is present, interior, and its quadrilateral is strictly convex."""
-        ws = self._opp.get(e)
-        if ws is None or len(ws) == 1:
-            return False
-        return self.ps.quad_convex(e[0], ws[0], e[1], ws[1])
+        return tuple(sorted(self._opp))
 
     def flips(self) -> Iterator[tuple[Edge, int]]:
         """(edge, edge mask after flipping it) for each admissible edge, in
-        canonical edge order; O(1) per edge, and nothing is built."""
+        canonical edge order: flip_preview fused into one loop, O(1) per
+        edge, and nothing is built."""
         opp, mask, quad = self._opp, self.edge_mask, self.ps.quad_convex
         bit = self.ps.edge_bit
         for e in self.edges():
@@ -298,21 +286,20 @@ class Triangulation:
         ws = self._opp.get(e)
         if ws is None:
             raise ValueError(f"edge {e} is not in the triangulation")
-        a, b = e
-        out = {make_edge(a, w) for w in ws} | {make_edge(b, w) for w in ws}
-        return tuple(sorted(out))
+        return tuple(sorted(make_edge(v, w) for v in e for w in ws))
 
     # -- the flip --------------------------------------------------------
 
-    def flip_preview(self, e: Edge) -> tuple[Edge, int]:
-        """(created diagonal, edge mask after the flip) of admissible edge e,
-        in O(1) and without building the flipped triangulation.
-
-        The caller vouches that e is admissible; nothing is checked.
+    def flip_preview(self, e: Edge) -> tuple[Edge, int] | None:
+        """(created diagonal, edge mask after the flip) if e is admissible,
+        else None: e must be present, interior, and its quadrilateral
+        strictly convex.  O(1), and the flipped triangulation is not built.
         """
-        created = self._opp[e]  # e's two apexes, already sorted
+        ws = self._opp.get(e)  # e's apexes, already sorted
+        if ws is None or len(ws) == 1 or not self.ps.quad_convex(e[0], ws[0], e[1], ws[1]):
+            return None
         bit = self.ps.edge_bit
-        return created, self.edge_mask ^ bit(e) ^ bit(created)
+        return ws, self.edge_mask ^ bit(e) ^ bit(ws)
 
     def apply_flip(self, e: Edge) -> tuple["Triangulation", Edge]:
         """Flip interior edge e; returns (new triangulation, created diagonal).
@@ -320,17 +307,18 @@ class Triangulation:
         Raises InadmissibleFlip if e is absent, on the boundary, or its
         quadrilateral is not strictly convex.
         """
-        ws = self._opp.get(e)
-        if ws is None:
-            raise InadmissibleFlip(f"edge {e} is not in the triangulation")
-        if len(ws) == 1:
-            raise InadmissibleFlip(f"edge {e} is on the boundary")
-        a, b = e
-        c, d = ws
-        if not self.ps.quad_convex(a, c, b, d):
+        preview = self.flip_preview(e)
+        if preview is None:
+            ws = self._opp.get(e)
+            if ws is None:
+                raise InadmissibleFlip(f"edge {e} is not in the triangulation")
+            if len(ws) == 1:
+                raise InadmissibleFlip(f"edge {e} is on the boundary")
             raise InadmissibleFlip(f"quadrilateral around {e} is not strictly convex")
 
-        created, mask = self.flip_preview(e)
+        created, mask = preview
+        a, b = e
+        c, d = created
         opp = dict(self._opp)
         del opp[e]
         opp[created] = (a, b)
@@ -350,9 +338,7 @@ class Triangulation:
 
     def canonical_key(self) -> bytes:
         """Byte encoding of the sorted triangle set; equal iff triangulations equal."""
-        if self._ckey is None:
-            self._ckey = b";".join(b"%d,%d,%d" % t for t in sorted(self.triangles))
-        return self._ckey
+        return b";".join(b"%d,%d,%d" % t for t in sorted(self.triangles))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangulation):

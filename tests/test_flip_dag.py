@@ -122,7 +122,7 @@ def _recreating_sequence(seed: int):
     start, _ = random_pair(rng.choice([5, 6, 7, 8, 9]), 0, 700 + seed)
     cur, edges, made = start, [], []
     for _ in range(rng.randrange(4, 20)):
-        back = [e for e in made if cur.is_admissible(e)]
+        back = [e for e in made if cur.flip_preview(e)]
         choices = back if back and rng.random() < 0.6 else cur.admissible_edges()
         if not choices:
             break

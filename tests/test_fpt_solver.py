@@ -264,7 +264,7 @@ def test_exists_below_changed_edges_cuts_without_expanding():
         stats = SolverStats()
         assert not exists_solution_with_exactly_k_flips(a, b, k, stats=stats)
         assert stats.states_expanded == 0
-        assert stats.lower_bound_cuts >= 1
+        assert stats.lower_bound_cuts == 1  # the root cut
 
 
 def test_iteration_cut_keeps_exactly_the_outcomes_within_bound():

@@ -139,6 +139,15 @@ def test_minimal_solutions_respect_limit(hexagon):
     assert len(enumerate_minimal_solutions(hexagon, final, 2, limit=1)) == 1
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_minimal_solutions_limit_below_one_rejected(limit):
+    # the distance is right, so only the limit can be at fault
+    a, b = generate_instance(7, "random", 4, 51).triangulations()
+    assert bfs_distance(a, b) == 4
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        enumerate_minimal_solutions(a, b, 4, limit=limit)
+
+
 def test_minimal_solutions_wrong_distance_rejected(square):
     flipped, _ = square.apply_flip((0, 2))
     with pytest.raises(ValueError):

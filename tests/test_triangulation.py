@@ -132,9 +132,9 @@ def test_point_set_edge_table_memory():
 
 
 def test_is_admissible(square, pinwheel):
-    assert square.is_admissible((0, 2))
-    assert not square.is_admissible((0, 1))  # boundary
-    assert not square.is_admissible((1, 3))  # absent
+    assert square.flip_preview((0, 2)) is not None
+    assert square.flip_preview((0, 1)) is None  # boundary
+    assert square.flip_preview((1, 3)) is None  # absent
     # every interior edge of a triangle-with-interior-point is blocked
     assert pinwheel.admissible_edges() == []
 
@@ -213,8 +213,17 @@ def test_flip_preview_matches_apply_flip():
                 start, _ = generate_instance(n, hull, 0, 700 + 10 * n + seed).triangulations()
                 for tri, _ in random_walk(start, 10, rng):
                     assert list(tri.flips()) == [
-                        (e, tri.flip_preview(e)[1]) for e in tri.edges() if tri.is_admissible(e)
+                        (e, tri.flip_preview(e)[1]) for e in tri.edges() if tri.flip_preview(e)
                     ]
+                    # None exactly when apply_flip refuses, absent pairs included
+                    absent = [p for p in combinations(range(n), 2) if p not in tri][:2]
+                    for e in list(tri.edges()) + absent:
+                        try:
+                            tri.apply_flip(e)
+                            refused = False
+                        except InadmissibleFlip:
+                            refused = True
+                        assert (tri.flip_preview(e) is None) == refused
                     for e in tri.admissible_edges():
                         flipped, created = tri.apply_flip(e)
                         assert tri.flip_preview(e) == (created, flipped.edge_mask)
