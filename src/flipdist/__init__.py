@@ -1,9 +1,10 @@
 """Flip distance between triangulations of a planar point set.
 
-Two engines: an exhaustive breadth-first oracle over the flip graph for
-small inputs, and a bounded-nondeterminism decision procedure for
-"distance equals k" whose work depends on k rather than on the size of
-the flip graph.  The flip_dag module exposes the dependency structure of
+Two engines: an exact oracle over the flip graph for small inputs (A*
+on the count of goal-absent edges, with plain breadth-first search as
+its independent reference), and a bounded-nondeterminism decision
+procedure for "distance equals k" whose work depends on k rather than on
+the size of the flip graph.  The flip_dag module exposes the dependency structure of
 flip sequences that justifies the second engine.
 """
 
@@ -39,6 +40,7 @@ from .flip_dag import (
 )
 from .oracle import (
     SearchBudgetExceeded,
+    astar_distance,
     bfs_distance,
     enumerate_minimal_solutions,
     enumerate_triangulations,
@@ -90,6 +92,7 @@ __all__ = [
     "classify_essential",
     "components",
     "SearchBudgetExceeded",
+    "astar_distance",
     "bfs_distance",
     "enumerate_minimal_solutions",
     "enumerate_triangulations",

@@ -40,6 +40,10 @@ With prune=True the search remembers failed tree nodes and applies the
 changed-edge lower bound at the root and in every iteration: a
 triangulation with w edges absent from the target needs at least w more
 flips, so a branch with fewer flips left is cut (and counted in stats).
+
+exists_solution_with_exactly_k_flips, fpt_distance and
+decide_flip_distance_eq take a `node_budget` on the machine states
+expanded in the whole call and raise SearchBudgetExceeded past it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from .triangulation import Edge, Triangulation, changed_edges, ensure_same_points
 
 MOVE = "move"
@@ -142,6 +147,7 @@ def iter_iteration_outcomes(
     stats: SolverStats | None = None,
     goal_mask: int | None = None,
     rest: int = 0,
+    state_limit: float = float("inf"),
 ) -> Iterator[Triangulation]:
     """Triangulations reachable from (tri, start) by one machine iteration:
     exactly `flips_target` flips within at most 2*flips_target actions,
@@ -168,6 +174,9 @@ def iter_iteration_outcomes(
     counts one cut per target), on the flip's previewed mask; the flipped
     triangulation is built at most once per state, for the first flip
     successor that is kept.
+
+    SearchBudgetExceeded is raised once stats.states_expanded passes
+    `state_limit` (so a limit needs stats).
     """
     if flips_target <= 0:
         raise ValueError("an iteration must flip at least once")
@@ -198,6 +207,8 @@ def iter_iteration_outcomes(
             stats.states_expanded += 1
             stats.actions_generated += branching
             stats.max_branching = max(stats.max_branching, branching)
+            if stats.states_expanded > state_limit:
+                raise SearchBudgetExceeded("FPT search exceeded its node budget")
         acts += 1  # every step costs one action
         for kind, targets, stk in groups:
             f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
@@ -233,6 +244,7 @@ def exists_solution_with_exactly_k_flips(
     k: int,
     prune: bool = True,
     stats: SolverStats | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """Can some composition of k into iteration budgets drive `start` to `goal`?
 
@@ -257,10 +269,16 @@ def exists_solution_with_exactly_k_flips(
     recorded under one prefix holds under every prefix.  That key is
     coarser than the remaining parts' tuple, and never wrong.
     prune=False is the plain depth-first reference: no memo, no cuts.
+
+    Raises SearchBudgetExceeded once more than `node_budget` states have
+    been expanded in this call.
     """
     ensure_same_points(start, goal)
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if stats is None:
+        stats = SolverStats()
+    state_limit = stats.states_expanded + node_budget
     order = sorted(changed_edges(start, goal))
     goal_mask = goal.edge_mask
     failed: set[tuple[int, int, int]] = set()
@@ -278,11 +296,10 @@ def exists_solution_with_exactly_k_flips(
         if prune and key in failed:
             return False
         for part in range(1, rest + 1):
-            if stats:
-                stats.iterations_run += 1
-                stats.compositions_tried += part == rest
+            stats.iterations_run += 1
+            stats.compositions_tried += part == rest
             outcomes = iter_iteration_outcomes(
-                tri, order[cursor], part, prune, stats, goal_mask, rest - part
+                tri, order[cursor], part, prune, stats, goal_mask, rest - part, state_limit
             )
             for outcome in outcomes:
                 if attempt(outcome, cursor + 1, rest - part):
@@ -292,8 +309,7 @@ def exists_solution_with_exactly_k_flips(
         return False
 
     if prune and 0 < k < len(order):
-        if stats:
-            stats.lower_bound_cuts += 1
+        stats.lower_bound_cuts += 1
         return False
     return attempt(start, 0, k)
 
@@ -304,6 +320,7 @@ def fpt_distance(
     cap: int,
     prune: bool = True,
     stats: SolverStats | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int | None:
     """The flip distance from start to goal, or None when it exceeds `cap`.
 
@@ -312,12 +329,18 @@ def fpt_distance(
     edge, and each changed edge has to go, so the distance d is at least
     k0.  Acceptance is sound for every k, so no k < d accepts, and
     complete at k = d, so the first acceptance is at d.
+
+    `node_budget` bounds the states expanded over all k together.
     """
     ensure_same_points(start, goal)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    if stats is None:
+        stats = SolverStats()
+    state_limit = stats.states_expanded + node_budget
     for k in range(len(changed_edges(start, goal)), cap + 1):
-        if exists_solution_with_exactly_k_flips(start, goal, k, prune, stats):
+        left = state_limit - stats.states_expanded
+        if exists_solution_with_exactly_k_flips(start, goal, k, prune, stats, left):
             return k
     return None
 
@@ -328,9 +351,11 @@ def decide_flip_distance_eq(
     k: int,
     prune: bool = True,
     stats: SolverStats | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """True iff the flip distance from start to goal is exactly k.
 
-    Raises ValueError for k < 0, as fpt_distance does for a negative cap.
+    Raises ValueError for k < 0, as fpt_distance does for a negative cap,
+    and SearchBudgetExceeded past `node_budget` expanded states.
     """
-    return fpt_distance(start, goal, k, prune, stats) == k
+    return fpt_distance(start, goal, k, prune, stats, node_budget) == k

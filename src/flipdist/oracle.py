@@ -5,8 +5,9 @@ graph whose vertices are triangulations and whose edges are single
 admissible flips, deduplicating states by their edge-set fingerprint.
 Each successor is judged on the edge mask Triangulation.flips() gives
 it (O(1)); only the successors a search keeps are built, which costs
-O(n) each.  Distances and geodesic labels come from one breadth-first
-walk, _bfs.
+O(n) each.  bfs_distance and the geodesic labels come from one
+breadth-first walk, _bfs; astar_distance is a best-first search guided by
+the count of goal-absent edges, and bfs_distance is its reference.
 """
 
 from __future__ import annotations
@@ -83,6 +84,76 @@ def bfs_distance(
         depth = None
     if stats:
         stats.nodes_visited += visited
+    return depth
+
+
+def astar_distance(
+    start: Triangulation,
+    goal: Triangulation,
+    cap: int = DEFAULT_CAP,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    stats: OracleStats | None = None,
+) -> int | None:
+    """Exact flip distance by best-first (A*) search, or None when it exceeds `cap`.
+
+    The priority of a state reached in g flips is f = g + h, where h is
+    the number of its edges absent from the goal.  A flip removes one edge
+    and adds one, so h changes by -1, 0 or +1 per flip: h is consistent,
+    f never decreases along a path, and h is 0 only at the goal (both
+    triangulations have the same number of edges).  States are popped from
+    integer f-buckets in increasing order, so the first goal popped is at
+    its distance (Hart, Nilsson and Raphael 1968).  Within a bucket the
+    last state queued goes first, so deeper states are tried first.
+
+    Every path through a state costs at least its f, so a successor with
+    f > cap is dropped, and None still means "distance exceeds cap".  The
+    buckets grow with the f values actually reached (at most h(start) + 2g),
+    never with `cap`.
+
+    An open state is kept as (g, mask, parent, flipped edge) and built only
+    when popped; successors are judged on the masks flips() gives.  A
+    best-g map keyed by mask drops a successor whose g is no better and a
+    stale pop.  Same contract as bfs_distance: raises SearchBudgetExceeded
+    once more than `node_budget` distinct triangulations have been
+    generated, and adds their count to `stats.nodes_visited`.
+    """
+    ensure_same_points(start, goal)
+    goal_mask = goal.edge_mask
+    absent = ~goal_mask
+    h0 = (start.edge_mask & absent).bit_count()
+    room = cap - h0  # the largest bucket index a successor may take
+    best = {start.edge_mask: 0}
+    # buckets[i] holds the open states of f = h0 + i; f never decreases,
+    # so the scan over i never goes back
+    buckets = [[(0, start.edge_mask, None, None)]]
+    depth = None
+    i = 0
+    while i < len(buckets):
+        if not buckets[i]:
+            i += 1
+            continue
+        g, m, parent, e = buckets[i].pop()
+        if g > best[m]:
+            continue  # queued again later with a smaller g
+        if m == goal_mask:
+            depth = g
+            break
+        tri = start if parent is None else parent.apply_flip(e)[0]
+        g += 1
+        for e2, m2 in tri.flips():
+            if best.get(m2, g + 1) <= g:
+                continue
+            i2 = g + (m2 & absent).bit_count() - h0
+            if i2 > room:
+                continue
+            best[m2] = g
+            if len(best) > node_budget:
+                raise SearchBudgetExceeded(f"flip-graph A* exceeded {node_budget} triangulations")
+            while len(buckets) <= i2:
+                buckets.append([])
+            buckets[i2].append((g, m2, tri, e2))
+    if stats:
+        stats.nodes_visited += len(best)
     return depth
 
 

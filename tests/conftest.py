@@ -16,12 +16,15 @@ from flipdist import (
     PointSet,
     Triangulation,
     apply_sequence,
+    bfs_distance,
     changed_edges,
+    enumerate_triangulations,
     exists_solution_with_exactly_k_flips,
     fpt_solver,
     generate_instance,
     orientation,
 )
+from flipdist.oracle import _bfs
 
 SQUARE_POINTS = [(0, 0), (1, 0), (1, 1), (0, 1)]
 # convex, no three collinear
@@ -120,6 +123,20 @@ def random_pair(n: int, scramble: int, seed: int) -> tuple[Triangulation, Triang
     return inst.triangulations()
 
 
+def convex_slack_strata(n: int) -> tuple[Triangulation, list[tuple[int, int, Triangulation]]]:
+    """The scanned start of generate_instance(n, "convex", 0, seed=1) and
+    (slack, distance, goal) for every triangulation of that n-gon, in
+    canonical order.  Slack is the distance minus the start's goal-absent
+    edge count; the distances come from one BFS."""
+    start, _ = generate_instance(n, "convex", 0, 1).triangulations()
+    depth = {m: d for d, m in _bfs(start, 4 * n, 10**6, "slack strata")}
+    strata = []
+    for goal in enumerate_triangulations(start):
+        d = depth[goal.edge_mask]
+        strata.append((d - (start.edge_mask & ~goal.edge_mask).bit_count(), d, goal))
+    return start, strata
+
+
 def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff open segments ab and cd share an interior point.
 
@@ -197,6 +214,33 @@ def sample_topological_sorts(
     for _ in range(samples):
         sorts.append(_kahn(dag, rng.choice))
     return sorts
+
+
+@pytest.fixture(scope="session")
+def pool() -> list[tuple[Triangulation, Triangulation, int]]:
+    """The acceptance pool: >=100 random instances, n in [5,8], stratified
+    by exact distance 0..4."""
+    quotas = {0: 4, 1: 30, 2: 32, 3: 28, 4: 18}
+    out = []
+    seed = 0
+    while any(quotas.values()):
+        seed += 1
+        n = 5 + seed % 4
+        scramble = seed % 9
+        if all(v == 0 for d, v in quotas.items() if d < 4):
+            # only the deepest stratum left: n=5 flip graphs are too small
+            # to reach distance 4, so draw from larger, busier instances
+            n = 6 + seed % 3
+            scramble = 5 + seed % 4
+        inst = generate_instance(n, "random", scramble, seed)
+        start, goal = inst.triangulations()
+        d = bfs_distance(start, goal, cap=4)
+        if d is None or quotas.get(d, 0) == 0:
+            continue
+        quotas[d] -= 1
+        out.append((start, goal, d))
+    assert len(out) >= 100
+    return out
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ One test per criterion; each prints a single [PASS]/[FAIL] line.  Run with
 
     pytest tests/test_acceptance.py -v -s
 
-to see the lines as they complete.  The instance pool, the random-sequence
-corpus, and the oracle-minimal solutions are built once per module and shared.
+to see the lines as they complete.  The instance pool (a conftest fixture),
+the random-sequence corpus, and the oracle-minimal solutions are built once
+and shared.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import pytest
 from flipdist import (
     FlipSequence,
     SolverStats,
-    Triangulation,
     apply_sequence,
-    bfs_distance,
     build_dag,
     classify_essential,
     components,
@@ -55,32 +54,6 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 # -- shared corpora --------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def pool() -> list[tuple[Triangulation, Triangulation, int]]:
-    """>=100 random instances, n in [5,8], stratified by exact distance 0..4."""
-    quotas = {0: 4, 1: 30, 2: 32, 3: 28, 4: 18}
-    out = []
-    seed = 0
-    while any(quotas.values()):
-        seed += 1
-        n = 5 + seed % 4
-        scramble = seed % 9
-        if all(v == 0 for d, v in quotas.items() if d < 4):
-            # only the deepest stratum left: n=5 flip graphs are too small
-            # to reach distance 4, so draw from larger, busier instances
-            n = 6 + seed % 3
-            scramble = 5 + seed % 4
-        inst = generate_instance(n, "random", scramble, seed)
-        start, goal = inst.triangulations()
-        d = bfs_distance(start, goal, cap=4)
-        if d is None or quotas.get(d, 0) == 0:
-            continue
-        quotas[d] -= 1
-        out.append((start, goal, d))
-    assert len(out) >= 100
-    return out
 
 
 @pytest.fixture(scope="module")

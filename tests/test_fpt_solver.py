@@ -4,6 +4,7 @@ from dataclasses import astuple
 import pytest
 
 from conftest import (
+    convex_slack_strata,
     count_builds,
     pentagon_fan,
     polygon_fans,
@@ -13,7 +14,9 @@ from conftest import (
 )
 from flipdist import (
     MachineState,
+    SearchBudgetExceeded,
     SolverStats,
+    astar_distance,
     bfs_distance,
     changed_edges,
     decide_flip_distance_eq,
@@ -392,3 +395,50 @@ def test_fpt_distance_cap_and_bounds():
         fpt_distance(a, b, -1)
     with pytest.raises(ValueError):
         decide_flip_distance_eq(a, b, -1)
+
+
+def test_slack_two_pairs_agree():
+    # slack = distance - goal-absent edges of the start; the changed-edge
+    # bound is 2 short on these pairs, so they exercise the deepening.
+    # Every slack-2 goal of the convex 9-gon, and the deepest of the 10-gon
+    # (the first in canonical order; d = 9, about 0.1 s).
+    start, strata = convex_slack_strata(9)
+    pairs = [(start, goal, d) for slack, d, goal in strata if slack == 2]
+    assert len(pairs) == 16
+    start, strata = convex_slack_strata(10)
+    d, goal = max(((d, goal) for slack, d, goal in strata if slack == 2), key=lambda p: p[0])
+    assert d == 9
+    pairs.append((start, goal, d))
+    for start, goal, d in pairs:
+        assert bfs_distance(start, goal, cap=d) == d
+        assert astar_distance(start, goal, cap=d) == d
+        assert fpt_distance(start, goal, d) == d
+
+
+def test_fpt_budget_stops_the_max_slack_eleven_gon():
+    # the first 11-gon goal of greatest (slack, d) in canonical order, one
+    # of 71: without a budget fpt_distance expands 144,553 states on it
+    # (about 1.5 s); a budget of 10,000 stops it at 10,001
+    start, strata = convex_slack_strata(11)
+    slack, d, goal = max(strata, key=lambda s: s[:2])
+    assert (slack, d) == (3, 11)
+    assert astar_distance(start, goal, cap=d) == d
+    for search in (fpt_distance, decide_flip_distance_eq):
+        stats = SolverStats(states_expanded=5)  # the budget counts this call only
+        with pytest.raises(SearchBudgetExceeded):
+            search(start, goal, d, stats=stats, node_budget=10_000)
+        assert stats.states_expanded == 5 + 10_001
+
+
+def test_exists_budget_counts_states_of_the_call():
+    # a rejected k: exactly the states the call spends pass, one fewer raises
+    a, b = generate_instance(9, "random", 4, 111).triangulations()
+    stats = SolverStats()
+    assert not exists_solution_with_exactly_k_flips(a, b, 5, stats=stats)
+    spent = stats.states_expanded
+    assert not exists_solution_with_exactly_k_flips(a, b, 5, node_budget=spent)
+    with pytest.raises(SearchBudgetExceeded):
+        exists_solution_with_exactly_k_flips(a, b, 5, node_budget=spent - 1)
+    # the unpruned reference has the same budget, and spends more
+    with pytest.raises(SearchBudgetExceeded):
+        exists_solution_with_exactly_k_flips(a, b, 5, prune=False, node_budget=spent)

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from conftest import pentagon_fan, random_pair
+from conftest import random_pair
 from flipdist import (
     SearchBudgetExceeded,
+    astar_distance,
     bfs_distance,
     enumerate_minimal_solutions,
     enumerate_triangulations,
     generate_instance,
 )
-from flipdist.oracle import OracleStats
+from flipdist.oracle import OracleStats, _bfs
 
 
 def test_distance_zero(square):
@@ -68,10 +69,12 @@ def test_node_budget_exceeded(fans):
 
 
 # (search, the last node budget that raises, the result one above it).
-# All three walk the flip graph through Triangulation.flips(); bfs_distance
-# finds its goal before the budget check of the goal's own state.
+# All four walk the flip graph through Triangulation.flips(); bfs_distance
+# finds its goal before the budget check of the goal's own state, and
+# astar_distance counts every state it queues, the goal included.
 BUDGET_BOUNDARIES = [
     ("bfs_distance", 17, 4),
+    ("astar_distance", 11, 4),
     ("enumerate_minimal_solutions", 19, 4),
     ("enumerate_triangulations", 13, 14),
 ]
@@ -81,6 +84,8 @@ def _run_search(search: str, node_budget: int) -> int:
     a, b = generate_instance(7, "random", 4, 51).triangulations()
     if search == "bfs_distance":
         return bfs_distance(a, b, node_budget=node_budget)
+    if search == "astar_distance":
+        return astar_distance(a, b, node_budget=node_budget)
     if search == "enumerate_minimal_solutions":
         return len(enumerate_minimal_solutions(a, b, 4, node_budget=node_budget))
     hexagon, _ = generate_instance(6, "convex", 0, 1).triangulations()
@@ -99,6 +104,68 @@ def test_stats_counts_nodes(square):
     stats = OracleStats()
     bfs_distance(square, flipped, stats=stats)
     assert stats.nodes_visited >= 2
+
+
+def test_astar_matches_bfs_on_acceptance_pool(pool):
+    # the pool's distances are bfs_distance's
+    for start, goal, d in pool:
+        assert astar_distance(start, goal) == d
+        assert astar_distance(start, goal, cap=d) == d
+        if d > 0:
+            assert astar_distance(start, goal, cap=d - 1) is None
+
+
+def test_astar_matches_bfs_on_every_pair_of_a_convex_octagon():
+    seed_tri, _ = generate_instance(8, "convex", 0, 1).triangulations()
+    world = enumerate_triangulations(seed_tri)
+    assert len(world) == 132
+    for start in world:
+        # one BFS from start gives its distance to every goal
+        depth = {m: d for d, m in _bfs(start, 100, 10**6, "reference")}
+        assert [astar_distance(start, goal, cap=100) for goal in world] == [
+            depth[goal.edge_mask] for goal in world
+        ]
+
+
+def test_astar_start_over_cap_stops_after_one_state():
+    # h(start) alone exceeds the cap: every successor has f > cap, so the
+    # start is the only state counted
+    a, b = random_pair(7, 4, 51)
+    h0 = (a.edge_mask & ~b.edge_mask).bit_count()
+    assert h0 == 3
+    stats = OracleStats()
+    assert astar_distance(a, b, cap=h0 - 1, stats=stats) is None
+    assert stats.nodes_visited == 1
+
+
+def test_astar_huge_cap_allocates_nothing_cap_sized():
+    a, b = generate_instance(7, "random", 4, 51).triangulations()
+    assert astar_distance(a, b, cap=10**12) == 4
+    assert bfs_distance(a, b, cap=10**12) == 4
+
+
+# distinct triangulations astar_distance generates (OracleStats.nodes_visited)
+# against bfs_distance's, on pairs of distance 4, 4, 4, 4 and 6
+ASTAR_VISITED = {
+    (6, 4, 103): (7, 9),
+    (6, 4, 132): (7, 9),
+    (6, 4, 166): (6, 6),
+    (7, 4, 51): (12, 19),
+    (14, 8, 2): (57, 11534),
+}
+
+
+@pytest.mark.parametrize("pair", list(ASTAR_VISITED))
+def test_astar_stats_count_generated_states(pair):
+    astar_visited, bfs_visited = ASTAR_VISITED[pair]
+    a, b = generate_instance(pair[0], "random", pair[1], pair[2]).triangulations()
+    astar, bfs = OracleStats(), OracleStats()
+    d = bfs_distance(a, b, stats=bfs)
+    assert astar_distance(a, b, stats=astar) == d
+    assert (astar.nodes_visited, bfs.nodes_visited) == (astar_visited, bfs_visited)
+    # the counter accumulates across calls
+    astar_distance(a, b, stats=astar)
+    assert astar.nodes_visited == 2 * astar_visited
 
 
 def test_minimal_solutions_distance_zero(square):
