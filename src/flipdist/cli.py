@@ -25,8 +25,8 @@ from .instances import (
 )
 from .oracle import DEFAULT_CAP, OracleStats, SearchBudgetExceeded, astar_distance
 
-# not called here; the benchmark's tracer (bench/tracing.py) looks
-# cli.bfs_distance up by name
+# not called here: bench/tracing.py patches cli.bfs_distance by name and
+# fails without it; its oracle span reads 0 until it wraps astar_distance
 from .oracle import bfs_distance  # noqa: F401
 from .triangulation import InvalidTriangulation, make_edge
 

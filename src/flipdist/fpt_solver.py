@@ -41,9 +41,9 @@ changed-edge lower bound at the root and in every iteration: a
 triangulation with w edges absent from the target needs at least w more
 flips, so a branch with fewer flips left is cut (and counted in stats).
 
-exists_solution_with_exactly_k_flips, fpt_distance and
-decide_flip_distance_eq take a `node_budget` on the machine states
-expanded in the whole call and raise SearchBudgetExceeded past it.
+Every exists_solution_with_exactly_k_flips call expands at most
+NODE_BUDGET machine states and raises SearchBudgetExceeded past it;
+fpt_distance and decide_flip_distance_eq make one such call per k.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ from typing import Iterator, NamedTuple
 
 from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from .triangulation import Edge, Triangulation, changed_edges, ensure_same_points
+
+# read at call time, so it can be lowered for a test
+NODE_BUDGET = DEFAULT_NODE_BUDGET
 
 MOVE = "move"
 FLIP_MOVE = "flip_move"
@@ -147,7 +150,8 @@ def iter_iteration_outcomes(
     stats: SolverStats | None = None,
     goal_mask: int | None = None,
     rest: int = 0,
-    state_limit: float = float("inf"),
+    *,
+    _limit: float = float("inf"),
 ) -> Iterator[Triangulation]:
     """Triangulations reachable from (tri, start) by one machine iteration:
     exactly `flips_target` flips within at most 2*flips_target actions,
@@ -175,8 +179,8 @@ def iter_iteration_outcomes(
     triangulation is built at most once per state, for the first flip
     successor that is kept.
 
-    SearchBudgetExceeded is raised once stats.states_expanded passes
-    `state_limit` (so a limit needs stats).
+    exists_solution_with_exactly_k_flips passes its budget as `_limit`:
+    SearchBudgetExceeded is raised once stats.states_expanded passes it.
     """
     if flips_target <= 0:
         raise ValueError("an iteration must flip at least once")
@@ -207,7 +211,7 @@ def iter_iteration_outcomes(
             stats.states_expanded += 1
             stats.actions_generated += branching
             stats.max_branching = max(stats.max_branching, branching)
-            if stats.states_expanded > state_limit:
+            if stats.states_expanded > _limit:
                 raise SearchBudgetExceeded("FPT search exceeded its node budget")
         acts += 1  # every step costs one action
         for kind, targets, stk in groups:
@@ -244,7 +248,6 @@ def exists_solution_with_exactly_k_flips(
     k: int,
     prune: bool = True,
     stats: SolverStats | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """Can some composition of k into iteration budgets drive `start` to `goal`?
 
@@ -270,7 +273,7 @@ def exists_solution_with_exactly_k_flips(
     coarser than the remaining parts' tuple, and never wrong.
     prune=False is the plain depth-first reference: no memo, no cuts.
 
-    Raises SearchBudgetExceeded once more than `node_budget` states have
+    Raises SearchBudgetExceeded once more than NODE_BUDGET states have
     been expanded in this call.
     """
     ensure_same_points(start, goal)
@@ -278,7 +281,7 @@ def exists_solution_with_exactly_k_flips(
         raise ValueError("k must be nonnegative")
     if stats is None:
         stats = SolverStats()
-    state_limit = stats.states_expanded + node_budget
+    limit = stats.states_expanded + NODE_BUDGET
     order = sorted(changed_edges(start, goal))
     goal_mask = goal.edge_mask
     failed: set[tuple[int, int, int]] = set()
@@ -299,7 +302,7 @@ def exists_solution_with_exactly_k_flips(
             stats.iterations_run += 1
             stats.compositions_tried += part == rest
             outcomes = iter_iteration_outcomes(
-                tri, order[cursor], part, prune, stats, goal_mask, rest - part, state_limit
+                tri, order[cursor], part, prune, stats, goal_mask, rest - part, _limit=limit
             )
             for outcome in outcomes:
                 if attempt(outcome, cursor + 1, rest - part):
@@ -320,7 +323,6 @@ def fpt_distance(
     cap: int,
     prune: bool = True,
     stats: SolverStats | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int | None:
     """The flip distance from start to goal, or None when it exceeds `cap`.
 
@@ -330,17 +332,13 @@ def fpt_distance(
     k0.  Acceptance is sound for every k, so no k < d accepts, and
     complete at k = d, so the first acceptance is at d.
 
-    `node_budget` bounds the states expanded over all k together.
+    Each k tried may expand NODE_BUDGET states.
     """
     ensure_same_points(start, goal)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    if stats is None:
-        stats = SolverStats()
-    state_limit = stats.states_expanded + node_budget
     for k in range(len(changed_edges(start, goal)), cap + 1):
-        left = state_limit - stats.states_expanded
-        if exists_solution_with_exactly_k_flips(start, goal, k, prune, stats, left):
+        if exists_solution_with_exactly_k_flips(start, goal, k, prune, stats):
             return k
     return None
 
@@ -351,11 +349,10 @@ def decide_flip_distance_eq(
     k: int,
     prune: bool = True,
     stats: SolverStats | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """True iff the flip distance from start to goal is exactly k.
 
     Raises ValueError for k < 0, as fpt_distance does for a negative cap,
-    and SearchBudgetExceeded past `node_budget` expanded states.
+    and SearchBudgetExceeded past NODE_BUDGET expanded states in one k.
     """
-    return fpt_distance(start, goal, k, prune, stats, node_budget) == k
+    return fpt_distance(start, goal, k, prune, stats) == k

@@ -72,7 +72,7 @@ def searched_compositions(monkeypatch, start: Triangulation, goal: Triangulation
     order = sorted(changed_edges(start, goal))
     calls = []
 
-    def unchanged(tri, edge, flips_target, *args):
+    def unchanged(tri, edge, flips_target, *args, **kwargs):
         calls.append((order.index(edge), flips_target))
         yield tri
 

@@ -1,10 +1,9 @@
 import concurrent.futures
 import json
-from functools import partial
 
 import pytest
 
-from flipdist import cli, decide_flip_distance_eq, parse_instance
+from flipdist import fpt_solver, parse_instance
 from flipdist.cli import main
 
 SQUARE_TEXT = """\
@@ -129,8 +128,8 @@ def test_distance_fpt_needs_k(pentagon_file, capsys):
 
 
 def test_distance_fpt_budget_exits_3(pentagon_file, capsys, monkeypatch):
-    # the CLI has no budget flag; a tiny default stands in for a runaway search
-    monkeypatch.setattr(cli, "decide_flip_distance_eq", partial(decide_flip_distance_eq, node_budget=1))
+    # the CLI has no budget flag; a tiny budget stands in for a runaway search
+    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", 1)
     assert main(["distance", pentagon_file, "--engine", "fpt", "--k", "2"]) == 3
     assert "FPT search exceeded its node budget" in capsys.readouterr().err
 

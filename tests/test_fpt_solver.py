@@ -22,6 +22,7 @@ from flipdist import (
     decide_flip_distance_eq,
     exists_solution_with_exactly_k_flips,
     fpt_distance,
+    fpt_solver,
     generate_instance,
     legal_actions,
 )
@@ -415,30 +416,37 @@ def test_slack_two_pairs_agree():
         assert fpt_distance(start, goal, d) == d
 
 
-def test_fpt_budget_stops_the_max_slack_eleven_gon():
+def test_fpt_budget_stops_the_max_slack_eleven_gon(monkeypatch):
     # the first 11-gon goal of greatest (slack, d) in canonical order, one
     # of 71: without a budget fpt_distance expands 144,553 states on it
-    # (about 1.5 s); a budget of 10,000 stops it at 10,001
+    # (about 1.5 s); a budget of 10,000 stops one k at its 10,001st state
     start, strata = convex_slack_strata(11)
     slack, d, goal = max(strata, key=lambda s: s[:2])
     assert (slack, d) == (3, 11)
     assert astar_distance(start, goal, cap=d) == d
+    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", 10_000)
     for search in (fpt_distance, decide_flip_distance_eq):
-        stats = SolverStats(states_expanded=5)  # the budget counts this call only
+        stats = SolverStats()
         with pytest.raises(SearchBudgetExceeded):
-            search(start, goal, d, stats=stats, node_budget=10_000)
-        assert stats.states_expanded == 5 + 10_001
+            search(start, goal, d, stats=stats)
+        # the k before the one that raised are complete, each under budget
+        assert 10_001 <= stats.states_expanded < (d + 1) * 10_001
 
 
-def test_exists_budget_counts_states_of_the_call():
-    # a rejected k: exactly the states the call spends pass, one fewer raises
+def test_exists_budget_counts_states_of_the_call(monkeypatch):
+    # a rejected k: exactly the states the call spends pass, one fewer
+    # raises, whatever the count the passed stats start from
     a, b = generate_instance(9, "random", 4, 111).triangulations()
     stats = SolverStats()
     assert not exists_solution_with_exactly_k_flips(a, b, 5, stats=stats)
     spent = stats.states_expanded
-    assert not exists_solution_with_exactly_k_flips(a, b, 5, node_budget=spent)
+    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", spent)
+    assert not exists_solution_with_exactly_k_flips(a, b, 5, stats=stats)
+    assert stats.states_expanded == 2 * spent
+    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", spent - 1)
     with pytest.raises(SearchBudgetExceeded):
-        exists_solution_with_exactly_k_flips(a, b, 5, node_budget=spent - 1)
+        exists_solution_with_exactly_k_flips(a, b, 5)
     # the unpruned reference has the same budget, and spends more
+    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", spent)
     with pytest.raises(SearchBudgetExceeded):
-        exists_solution_with_exactly_k_flips(a, b, 5, prune=False, node_budget=spent)
+        exists_solution_with_exactly_k_flips(a, b, 5, prune=False)
