@@ -27,8 +27,9 @@ that is absent from the target (in canonical order, already-absent ones
 skipped) and must perform exactly k_l flips within at most 2*k_l
 actions on a fresh stack.  The run accepts iff after all t iterations
 the current triangulation is the target.  Trying every composition
-(walked as a tree over the next part, so a shared prefix runs once)
-makes the overall decision exact for k equal to the flip distance, and
+(walked as a tree over the next part, so a shared prefix runs once, and
+with one search per tree node serving every next part at once) makes
+the overall decision exact for k equal to the flip distance, and
 every accepted run is a genuine k-flip transformation, so smaller k
 never accepts.  fpt_distance rests on that pair of facts: it tries
 k = |changed edges|, |changed edges| + 1, .. in turn (every flip removes
@@ -88,8 +89,9 @@ class MachineState(NamedTuple):
 class SolverStats:
     """Counters the searches fill in; pass one instance around to aggregate.
 
-    iterations_run counts iterations started (one per composition-tree
-    node and part), compositions_tried those running a last part.
+    iterations_run counts the parts the composition tree reads, once per
+    node and part: 1..the part that accepts, else all 1..rest.
+    compositions_tried counts the nodes whose last part (rest) is read.
     """
 
     states_expanded: int = 0
@@ -142,6 +144,93 @@ def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
     return out
 
 
+def _node_search(
+    tri: Triangulation,
+    start: Edge,
+    first: int,
+    last: int,
+    prune: bool,
+    stats: SolverStats | None,
+    goal_mask: int | None,
+    flips_left: int,
+    limit: float,
+) -> Iterator[tuple[int, Triangulation]]:
+    """(part, outcome) for the iterations of every part first..last from
+    (tri, start), in part order; iter_iteration_outcomes is one part's
+    view, and exists_solution_with_exactly_k_flips, which reads parts
+    1..rest, argues that each part gets its own iteration's outcomes.
+
+    A state with f flips is kept at action level a when f < last and
+    a <= last + f.  A flip to f >= first flips at level a <= 2*f is an
+    outcome of part f, once per mask, and is kept for larger parts too.
+    With prune=True levels are expanded in order, so part p is complete
+    once a state at level 2*p is popped: the part being read gets its
+    outcomes as found, later parts once the parts before them are done.
+    The cut allows flips_left flips from the root.  prune=False walks
+    depth first without dedup or cut, for one part (first == last).
+    """
+    cut = prune and goal_mask is not None
+    if cut:
+        absent = ~goal_mask
+    # states are (triangulation, edge, stack, flips done, actions done)
+    queue = deque([(tri, start, (), 0, 0)])
+    if prune:
+        pop = queue.popleft
+        seen = {(tri.edge_mask, start, (), 0)}
+    else:
+        pop = queue.pop
+        seen = None
+    emitted: list[set[int]] = [set() for _ in range(last + 1)]
+    held: list[list[Triangulation]] = [[] for _ in range(last + 1)]
+    reading = first
+    while queue:
+        cur, at, stack, flips, acts = pop()
+        while reading < last and 2 * reading <= acts:
+            reading += 1
+            yield from ((reading, outcome) for outcome in held[reading])
+        created, flip_mask = cur.flip_preview(at) or (None, None)
+        flipped = None
+        # materialized so the counters are complete before any outcome is yielded
+        groups = list(_steps(cur, at, stack, created))
+        if stats:
+            branching = sum(len(targets) for _, targets, _ in groups)
+            stats.states_expanded += 1
+            stats.actions_generated += branching
+            stats.max_branching = max(stats.max_branching, branching)
+            if stats.states_expanded > limit:
+                raise SearchBudgetExceeded("FPT search exceeded its node budget")
+        acts += 1  # every step costs one action
+        for kind, targets, stk in groups:
+            f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
+            if cut and (m & absent).bit_count() > flips_left - f:
+                if stats:
+                    stats.lower_bound_cuts += len(targets)
+                continue
+            # every flip group of a state reaches its one flip successor
+            if kind != MOVE and f >= first and acts <= 2 * f and m not in emitted[f]:
+                emitted[f].add(m)
+                if flipped is None:
+                    flipped = cur.apply_flip(at)[0]
+                if f == reading:
+                    yield f, flipped
+                else:
+                    held[f].append(flipped)
+            # no part needs more flips, or too few actions are left (one per flip)
+            if f == last or acts > last + f:
+                continue
+            t2 = cur if kind == MOVE else flipped
+            for e in targets:
+                if seen is not None:
+                    key = (m, e, stk, f)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                if t2 is None:
+                    t2 = flipped = cur.apply_flip(at)[0]
+                queue.append((t2, e, stk, f, acts))
+    yield from ((part, outcome) for part in range(reading + 1, last + 1) for outcome in held[part])
+
+
 def iter_iteration_outcomes(
     tri: Triangulation,
     start: Edge,
@@ -155,7 +244,8 @@ def iter_iteration_outcomes(
 ) -> Iterator[Triangulation]:
     """Triangulations reachable from (tri, start) by one machine iteration:
     exactly `flips_target` flips within at most 2*flips_target actions,
-    starting with an empty stack.  Each outcome is yielded once.
+    starting with an empty stack.  Each outcome is yielded once.  This is
+    the part-`flips_target` view of _node_search.
 
     With prune=True states are deduplicated on (edge-set fingerprint,
     current edge, stack, flips done) while expanding in action-count
@@ -174,10 +264,8 @@ def iter_iteration_outcomes(
     and the fewest-actions-first argument above still holds.
 
     The cut, the outcome check and the action budget read only the flip
-    count and the edge mask, so they run once per step group (a cut group
-    counts one cut per target), on the flip's previewed mask; the flipped
-    triangulation is built at most once per state, for the first flip
-    successor that is kept.
+    count and the mask, so they run once per step group (a cut group
+    counts one cut per target); a state's flip is built at most once.
 
     exists_solution_with_exactly_k_flips passes its budget as `_limit`:
     SearchBudgetExceeded is raised once stats.states_expanded passes it.
@@ -186,60 +274,8 @@ def iter_iteration_outcomes(
         raise ValueError("an iteration must flip at least once")
     if start not in tri:
         raise ValueError(f"start edge {start} is not in the triangulation")
-    budget = 2 * flips_target
-    cut = prune and goal_mask is not None
-    if cut:
-        absent = ~goal_mask
-        flips_left = flips_target + rest
-    # states are (triangulation, edge, stack, flips done, actions done)
-    queue = deque([(tri, start, (), 0, 0)])
-    if prune:
-        pop = queue.popleft
-        seen = {(tri.edge_mask, start, (), 0)}
-    else:
-        pop = queue.pop
-        seen = None
-    emitted: set[int] = set()
-    while queue:
-        cur, at, stack, flips, acts = pop()
-        created, flip_mask = cur.flip_preview(at) or (None, None)
-        flipped = None
-        # materialized so the counters are complete before any outcome is yielded
-        groups = list(_steps(cur, at, stack, created))
-        if stats:
-            branching = sum(len(targets) for _, targets, _ in groups)
-            stats.states_expanded += 1
-            stats.actions_generated += branching
-            stats.max_branching = max(stats.max_branching, branching)
-            if stats.states_expanded > _limit:
-                raise SearchBudgetExceeded("FPT search exceeded its node budget")
-        acts += 1  # every step costs one action
-        for kind, targets, stk in groups:
-            f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
-            if cut and (m & absent).bit_count() > flips_left - f:
-                if stats:
-                    stats.lower_bound_cuts += len(targets)
-                continue
-            if f == flips_target:
-                # only flip groups get here (queued states have fewer
-                # flips), and all of them reach the one outcome
-                if m not in emitted:
-                    emitted.add(m)
-                    yield cur.apply_flip(at)[0]
-                continue
-            # each remaining flip costs at least one action (so acts >= budget drops too)
-            if f + (budget - acts) < flips_target:
-                continue
-            t2 = cur if kind == MOVE else flipped
-            for e in targets:
-                if seen is not None:
-                    key = (m, e, stk, f)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                if t2 is None:
-                    t2 = flipped = cur.apply_flip(at)[0]
-                queue.append((t2, e, stk, f, acts))
+    part, flips_left = flips_target, flips_target + rest
+    return (o for _, o in _node_search(tri, start, part, part, prune, stats, goal_mask, flips_left, _limit))
 
 
 def exists_solution_with_exactly_k_flips(
@@ -255,15 +291,29 @@ def exists_solution_with_exactly_k_flips(
     admissible flips ending at goal) and complete when k is the flip
     distance, which is all the distance decision needs.
 
-    attempt(tri, cursor, rest) walks the compositions as a tree: it runs
-    an iteration of each size 1..rest from the next present changed edge
-    and recurses on every outcome, so a shared prefix runs once, and
-    compositions are met in lexicographic order.
+    attempt(tri, cursor, rest) walks the compositions as a tree: it reads
+    the outcomes of an iteration of each size 1..rest from the next
+    present changed edge, in part order, and recurses on every outcome,
+    so a shared prefix runs once, and compositions are met in
+    lexicographic order.
+
+    With prune=True one _node_search per tree node serves all its parts,
+    and each part p gets the outcomes of its own iteration (the view
+    iter_iteration_outcomes), in the same order, so answers are unchanged:
+    - the states with f < p flips at action level a <= p + f are exactly
+      those part p's iteration keeps, met in the same relative order;
+    - no state outside that set leads back into it, since f rises by at
+      most one per action and a by exactly one;
+    - a dedup key fixes f, so no state outside the set takes a key from
+      one inside it, and the cut reads only the mask and f, as there.
+    Part p's outcomes are yielded as found while the tree reads part p
+    and held until part p is read otherwise, so an accepting outcome of
+    a small part still ends the node before the deeper levels.
 
     With prune=True a root with 0 < k < |changed edges| is cut (each flip
     removes one edge, so it lowers the count of goal-absent edges by at
     most one; k = 0 is left to the mask comparison).  No node below the
-    root needs that check: the pruned iteration that made it already
+    root needs that check: the node search that made it already
     dropped every outcome with more goal-absent edges than the `rest`
     flips left.  Failed nodes are memoized on (rest, cursor, edge mask).
     The memo is sound because attempt's answer depends only on those
@@ -271,7 +321,8 @@ def exists_solution_with_exactly_k_flips(
     and order, goal and prune are fixed for the call, so a failure
     recorded under one prefix holds under every prefix.  That key is
     coarser than the remaining parts' tuple, and never wrong.
-    prune=False is the plain depth-first reference: no memo, no cuts.
+    prune=False is the plain depth-first reference: one iteration per
+    part, no memo, no cuts.
 
     Raises SearchBudgetExceeded once more than NODE_BUDGET states have
     been expanded in this call.
@@ -298,15 +349,21 @@ def exists_solution_with_exactly_k_flips(
         key = (rest, cursor, tri.edge_mask)
         if prune and key in failed:
             return False
-        for part in range(1, rest + 1):
-            stats.iterations_run += 1
-            stats.compositions_tried += part == rest
-            outcomes = iter_iteration_outcomes(
-                tri, order[cursor], part, prune, stats, goal_mask, rest - part, _limit=limit
+        if prune:
+            outcomes = _node_search(tri, order[cursor], 1, rest, True, stats, goal_mask, rest, limit)
+        else:
+            outcomes = (
+                (part, outcome)
+                for part in range(1, rest + 1)
+                for outcome in iter_iteration_outcomes(tri, order[cursor], part, False, stats, _limit=limit)
             )
-            for outcome in outcomes:
-                if attempt(outcome, cursor + 1, rest - part):
-                    return True
+        for part, outcome in outcomes:
+            if attempt(outcome, cursor + 1, rest - part):
+                stats.iterations_run += part
+                stats.compositions_tried += part == rest
+                return True
+        stats.iterations_run += rest
+        stats.compositions_tried += 1
         if prune:
             failed.add(key)
         return False

@@ -276,7 +276,9 @@ class Triangulation:
                 yield e, mask ^ bit(e) ^ bit(ws)
 
     def admissible_edges(self) -> list[Edge]:
-        return [e for e, _ in self.flips()]
+        """The edges flips() yields, in the same order, without their masks."""
+        quad = self.ps.quad_convex
+        return sorted(e for e, ws in self._opp.items() if len(ws) == 2 and quad(e[0], ws[0], e[1], ws[1]))
 
     def edges_sharing_triangle(self, e: Edge) -> tuple[Edge, ...]:
         """Edges that lie in a common triangle with e, canonically sorted.

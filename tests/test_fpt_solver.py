@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import astuple
 
@@ -288,6 +289,33 @@ def test_iteration_cut_keeps_exactly_the_outcomes_within_bound():
                     assert stats.lower_bound_cuts > 0
 
 
+def test_node_search_gives_every_part_its_own_iteration():
+    # one search per tree node serves parts 1..rest: each part's outcomes
+    # are its unpruned depth-first set minus those the cut drops, and the
+    # (part, outcome) sequence is the parts' own pruned iterations in turn
+    # (without a cut too, where later parts' outcomes are often found
+    # before an earlier part is complete)
+    rng = random.Random(34)
+    for seed in range(6):
+        tri, goal = random_pair(rng.choice([6, 7]), 3, 1800 + seed)
+        for state, _ in random_walk(tri, 3, rng):
+            e = rng.choice(state.edges())
+            raw = {part: set(iter_iteration_outcomes(state, e, part, False)) for part in (1, 2, 3)}
+            for rest, mask in itertools.product((1, 2, 3), (goal.edge_mask, None)):
+                stream = list(fpt_solver._node_search(state, e, 1, rest, True, None, mask, rest, float("inf")))
+                assert stream == [
+                    (part, t)
+                    for part in range(1, rest + 1)
+                    for t in iter_iteration_outcomes(state, e, part, True, None, mask, rest - part)
+                ]
+                for part in range(1, rest + 1):
+                    got = [t for p, t in stream if p == part]
+                    assert len(got) == len(set(got))
+                    assert set(got) == {
+                        t for t in raw[part] if mask is None or (t.edge_mask & ~mask).bit_count() <= rest - part
+                    }
+
+
 @pytest.mark.parametrize("n, scramble, seed", GAP_PAIRS)
 def test_decide_beyond_changed_edges_matches_oracle(n, scramble, seed):
     a, b = generate_instance(n, "random", scramble, seed).triangulations()
@@ -300,8 +328,10 @@ def test_decide_beyond_changed_edges_matches_oracle(n, scramble, seed):
 
 
 # states expanded by fpt_distance(.., 6) with the compositions walked as
-# a tree; running each composition from the start took 123/123/129/152/304
-STATES_AS_TREE = list(zip(GAP_PAIRS + [(14, 8, 2)], [108, 108, 114, 91, 254]))
+# a tree and one search per tree node; running each composition from the
+# start took 123/123/129/152/304, one iteration per node and part
+# 108/108/114/91/254
+STATES_AS_TREE = list(zip(GAP_PAIRS + [(14, 8, 2)], [70, 71, 74, 63, 188]))
 
 
 @pytest.mark.parametrize("pair, states", STATES_AS_TREE)
@@ -318,11 +348,11 @@ def test_composition_tree_expands_no_more_states(pair, states):
 # lower_bound_cuts); any change in cuts, actions or visit order moves them.
 # The unpruned search on (14, 8, 2) runs too long for the suite.
 PINNED_COUNTS = {
-    (6, 4, 103): (9, (108, 562, 14, 2, 7, 132), (3073, 18520, 14, 5, 11, 0)),
-    (6, 4, 132): (9, (108, 560, 14, 2, 7, 132), (2929, 17366, 14, 5, 11, 0)),
-    (6, 4, 166): (6, (114, 560, 14, 2, 7, 80), (3332, 17630, 14, 7, 14, 0)),
-    (7, 4, 51): (19, (91, 542, 14, 2, 7, 164), (15647, 106804, 14, 14, 22, 0)),
-    (14, 8, 2): (11534, (254, 2012, 14, 1, 6, 894), None),
+    (6, 4, 103): (9, (70, 370, 14, 2, 7, 74), (3073, 18520, 14, 5, 11, 0)),
+    (6, 4, 132): (9, (71, 372, 14, 2, 7, 74), (2929, 17366, 14, 5, 11, 0)),
+    (6, 4, 166): (6, (74, 380, 14, 2, 7, 48), (3332, 17630, 14, 7, 14, 0)),
+    (7, 4, 51): (19, (63, 384, 14, 2, 7, 110), (15647, 106804, 14, 14, 22, 0)),
+    (14, 8, 2): (11534, (188, 1490, 14, 1, 6, 682), None),
 }
 
 
@@ -371,12 +401,13 @@ def test_searches_build_only_kept_states(monkeypatch, pair):
 
 def test_memo_shares_failures_across_prefixes():
     # a rejected k whose tree revisits failed (rest, cursor, mask) nodes:
-    # 4577 states with the memo, 5068 without, 5145 running each
-    # composition from the start with a memo keyed on its remaining parts
+    # 2763 states with the memo, 3163 without (with one iteration per node
+    # and part: 4577 and 5068; running each composition from the start
+    # with a memo keyed on its remaining parts: 5145)
     a, b = generate_instance(9, "random", 4, 111).triangulations()
     stats = SolverStats()
     assert not exists_solution_with_exactly_k_flips(a, b, 5, True, stats)
-    assert stats.states_expanded <= 4577
+    assert stats.states_expanded <= 2763
 
 
 def test_fpt_distance_matches_oracle_on_larger_pair():
@@ -414,6 +445,23 @@ def test_slack_two_pairs_agree():
         assert bfs_distance(start, goal, cap=d) == d
         assert astar_distance(start, goal, cap=d) == d
         assert fpt_distance(start, goal, d) == d
+
+
+def test_node_search_expands_fewer_states_on_the_hard_stratum():
+    # one search per tree node; with one iteration per node and part the
+    # 16 slack-2 goals of the convex 9-gon took 91,413 states in total, and
+    # the last goal of greatest (slack, d) = (3, 10) of the 10-gon 215,531
+    start, strata = convex_slack_strata(9)
+    stats = SolverStats()
+    for slack, d, goal in strata:
+        if slack == 2:
+            assert fpt_distance(start, goal, d, stats=stats) == d
+    assert stats.states_expanded <= 31_189
+    start, strata = convex_slack_strata(10)
+    slack, d, goal = [s for s in strata if s[:2] == (3, 10)][-1]
+    stats = SolverStats()
+    assert fpt_distance(start, goal, d, stats=stats) == d
+    assert stats.states_expanded <= 55_853
 
 
 def test_fpt_budget_stops_the_max_slack_eleven_gon(monkeypatch):
