@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceFormatError, InvalidTriangulation, InvalidFlipSequence, GenerationError) as exc:
         print(f"flipdist: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"flipdist: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SearchBudgetExceeded as exc:

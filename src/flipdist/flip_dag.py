@@ -156,16 +156,10 @@ def components(dag: FlipDag) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
 
 
-def classify_essential(
-    dag: FlipDag, seq: FlipSequence, final: Triangulation | None = None
-) -> list[tuple[tuple[int, ...], bool]]:
-    """Label each component: does it flip an edge of the base absent from `final`?
-
-    `final` defaults to the sequence's own result.
-    """
-    if final is None:
-        final = seq.final
-    changed = changed_edges(seq.base, final)
+def classify_essential(dag: FlipDag, seq: FlipSequence) -> list[tuple[tuple[int, ...], bool]]:
+    """Label each component: does it flip an edge of the base absent from the
+    sequence's result?"""
+    changed = changed_edges(seq.base, seq.final)
     out = []
     for comp in components(dag):
         essential = any(seq.records[i - 1].removed in changed for i in comp)

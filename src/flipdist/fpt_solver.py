@@ -37,10 +37,10 @@ one edge, so no smaller k can work) and the first k that accepts is the
 flip distance.  decide_flip_distance_eq asks it for the distance, capped
 at k.
 
-With prune=True the search remembers failed tree nodes and applies the
-changed-edge lower bound at the root and in every iteration: a
-triangulation with w edges absent from the target needs at least w more
-flips, so a branch with fewer flips left is cut (and counted in stats).
+The search remembers failed tree nodes and applies the changed-edge
+lower bound at the root and in every iteration: a triangulation with w
+edges absent from the target needs at least w more flips, so a branch
+with fewer flips left is cut (and counted in stats).
 
 Every exists_solution_with_exactly_k_flips call expands at most
 NODE_BUDGET machine states and raises SearchBudgetExceeded past it;
@@ -149,42 +149,57 @@ def _node_search(
     start: Edge,
     first: int,
     last: int,
-    prune: bool,
-    stats: SolverStats | None,
+    stats: SolverStats,
     goal_mask: int | None,
     flips_left: int,
     limit: float,
 ) -> Iterator[tuple[int, Triangulation]]:
     """(part, outcome) for the iterations of every part first..last from
-    (tri, start), in part order; iter_iteration_outcomes is one part's
-    view, and exists_solution_with_exactly_k_flips, which reads parts
-    1..rest, argues that each part gets its own iteration's outcomes.
+    (tri, start), in part order.  The iteration of part p reaches its
+    outcomes by exactly p flips within at most 2*p actions, starting with
+    an empty stack, and yields each once;
+    exists_solution_with_exactly_k_flips, which reads parts 1..rest,
+    argues that each part gets its own iteration's outcomes.
 
     A state with f flips is kept at action level a when f < last and
     a <= last + f.  A flip to f >= first flips at level a <= 2*f is an
     outcome of part f, once per mask, and is kept for larger parts too.
-    With prune=True levels are expanded in order, so part p is complete
-    once a state at level 2*p is popped: the part being read gets its
-    outcomes as found, later parts once the parts before them are done.
-    The cut allows flips_left flips from the root.  prune=False walks
-    depth first without dedup or cut, for one part (first == last).
+    Levels are expanded in order, so part p is complete once a state at
+    level 2*p is popped: the part being read gets its outcomes as found,
+    later parts once the parts before them are done.
+
+    States are deduplicated on (edge-set fingerprint, current edge, stack,
+    flips done) while expanding in action-count order, so the first visit
+    of a key is the one with the fewest actions spent and dropping later
+    visits loses no outcome.
+
+    With `goal_mask` given, the search is one of a run that must reach
+    that target with `flips_left` flips left from the root, and any
+    successor (outcomes included) with more target-absent edges than the
+    flips left to it, `flips_left - flips_done`, is dropped before dedup.
+    Sound: a flip removes exactly one edge, so each flip lowers the count
+    of target-absent edges by at most one, and the run must bring it to
+    zero.  The count depends only on the edge mask, which is in the dedup
+    key, so a key is cut on every visit or on none and the
+    fewest-actions-first argument above still holds.
+
+    The cut, the outcome check and the action budget read only the flip
+    count and the mask, so they run once per step group (a cut group
+    counts one cut per target); a state's flip is built at most once.
+    SearchBudgetExceeded is raised once stats.states_expanded passes
+    `limit`.
     """
-    cut = prune and goal_mask is not None
+    cut = goal_mask is not None
     if cut:
         absent = ~goal_mask
     # states are (triangulation, edge, stack, flips done, actions done)
     queue = deque([(tri, start, (), 0, 0)])
-    if prune:
-        pop = queue.popleft
-        seen = {(tri.edge_mask, start, (), 0)}
-    else:
-        pop = queue.pop
-        seen = None
+    seen = {(tri.edge_mask, start, (), 0)}
     emitted: list[set[int]] = [set() for _ in range(last + 1)]
     held: list[list[Triangulation]] = [[] for _ in range(last + 1)]
     reading = first
     while queue:
-        cur, at, stack, flips, acts = pop()
+        cur, at, stack, flips, acts = queue.popleft()
         while reading < last and 2 * reading <= acts:
             reading += 1
             yield from ((reading, outcome) for outcome in held[reading])
@@ -192,19 +207,17 @@ def _node_search(
         flipped = None
         # materialized so the counters are complete before any outcome is yielded
         groups = list(_steps(cur, at, stack, created))
-        if stats:
-            branching = sum(len(targets) for _, targets, _ in groups)
-            stats.states_expanded += 1
-            stats.actions_generated += branching
-            stats.max_branching = max(stats.max_branching, branching)
-            if stats.states_expanded > limit:
-                raise SearchBudgetExceeded("FPT search exceeded its node budget")
+        branching = sum(len(targets) for _, targets, _ in groups)
+        stats.states_expanded += 1
+        stats.actions_generated += branching
+        stats.max_branching = max(stats.max_branching, branching)
+        if stats.states_expanded > limit:
+            raise SearchBudgetExceeded("FPT search exceeded its node budget")
         acts += 1  # every step costs one action
         for kind, targets, stk in groups:
             f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
             if cut and (m & absent).bit_count() > flips_left - f:
-                if stats:
-                    stats.lower_bound_cuts += len(targets)
+                stats.lower_bound_cuts += len(targets)
                 continue
             # every flip group of a state reaches its one flip successor
             if kind != MOVE and f >= first and acts <= 2 * f and m not in emitted[f]:
@@ -220,69 +233,20 @@ def _node_search(
                 continue
             t2 = cur if kind == MOVE else flipped
             for e in targets:
-                if seen is not None:
-                    key = (m, e, stk, f)
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                key = (m, e, stk, f)
+                if key in seen:
+                    continue
+                seen.add(key)
                 if t2 is None:
                     t2 = flipped = cur.apply_flip(at)[0]
                 queue.append((t2, e, stk, f, acts))
     yield from ((part, outcome) for part in range(reading + 1, last + 1) for outcome in held[part])
 
 
-def iter_iteration_outcomes(
-    tri: Triangulation,
-    start: Edge,
-    flips_target: int,
-    prune: bool = True,
-    stats: SolverStats | None = None,
-    goal_mask: int | None = None,
-    rest: int = 0,
-    *,
-    _limit: float = float("inf"),
-) -> Iterator[Triangulation]:
-    """Triangulations reachable from (tri, start) by one machine iteration:
-    exactly `flips_target` flips within at most 2*flips_target actions,
-    starting with an empty stack.  Each outcome is yielded once.  This is
-    the part-`flips_target` view of _node_search.
-
-    With prune=True states are deduplicated on (edge-set fingerprint,
-    current edge, stack, flips done) while expanding in action-count
-    order, so the first visit of a key is the one with the fewest actions
-    spent and dropping later visits loses no outcome.  With prune=False
-    the raw choice tree is walked depth-first.
-
-    With prune=True and `goal_mask` given, the iteration is one of a run
-    that must reach that target with `rest` flips left after it, and any
-    successor (outcomes included) with more target-absent edges than the
-    flips left to it, `flips_target - flips_done + rest`, is dropped
-    before dedup.  Sound: a flip removes exactly one edge, so each flip
-    lowers the count of target-absent edges by at most one, and the run
-    must bring it to zero.  The count depends only on the edge mask,
-    which is in the dedup key, so a key is cut on every visit or on none
-    and the fewest-actions-first argument above still holds.
-
-    The cut, the outcome check and the action budget read only the flip
-    count and the mask, so they run once per step group (a cut group
-    counts one cut per target); a state's flip is built at most once.
-
-    exists_solution_with_exactly_k_flips passes its budget as `_limit`:
-    SearchBudgetExceeded is raised once stats.states_expanded passes it.
-    """
-    if flips_target <= 0:
-        raise ValueError("an iteration must flip at least once")
-    if start not in tri:
-        raise ValueError(f"start edge {start} is not in the triangulation")
-    part, flips_left = flips_target, flips_target + rest
-    return (o for _, o in _node_search(tri, start, part, part, prune, stats, goal_mask, flips_left, _limit))
-
-
 def exists_solution_with_exactly_k_flips(
     start: Triangulation,
     goal: Triangulation,
     k: int,
-    prune: bool = True,
     stats: SolverStats | None = None,
 ) -> bool:
     """Can some composition of k into iteration budgets drive `start` to `goal`?
@@ -297,9 +261,9 @@ def exists_solution_with_exactly_k_flips(
     so a shared prefix runs once, and compositions are met in
     lexicographic order.
 
-    With prune=True one _node_search per tree node serves all its parts,
-    and each part p gets the outcomes of its own iteration (the view
-    iter_iteration_outcomes), in the same order, so answers are unchanged:
+    One _node_search per tree node serves all its parts, and each part p
+    gets the outcomes of its own iteration (_node_search from p to p), in
+    the same order, so answers are unchanged:
     - the states with f < p flips at action level a <= p + f are exactly
       those part p's iteration keeps, met in the same relative order;
     - no state outside that set leads back into it, since f rises by at
@@ -310,19 +274,17 @@ def exists_solution_with_exactly_k_flips(
     and held until part p is read otherwise, so an accepting outcome of
     a small part still ends the node before the deeper levels.
 
-    With prune=True a root with 0 < k < |changed edges| is cut (each flip
-    removes one edge, so it lowers the count of goal-absent edges by at
-    most one; k = 0 is left to the mask comparison).  No node below the
-    root needs that check: the node search that made it already
-    dropped every outcome with more goal-absent edges than the `rest`
-    flips left.  Failed nodes are memoized on (rest, cursor, edge mask).
+    A root with 0 < k < |changed edges| is cut (each flip removes one
+    edge, so it lowers the count of goal-absent edges by at most one;
+    k = 0 is left to the mask comparison).  No node below the root needs
+    that check: the node search that made it already dropped every
+    outcome with more goal-absent edges than the `rest` flips left.
+    Failed nodes are memoized on (rest, cursor, edge mask).
     The memo is sound because attempt's answer depends only on those
     three: over a fixed point set the mask determines the triangulation,
-    and order, goal and prune are fixed for the call, so a failure
-    recorded under one prefix holds under every prefix.  That key is
-    coarser than the remaining parts' tuple, and never wrong.
-    prune=False is the plain depth-first reference: one iteration per
-    part, no memo, no cuts.
+    and order and goal are fixed for the call, so a failure recorded
+    under one prefix holds under every prefix.  That key is coarser than
+    the remaining parts' tuple, and never wrong.
 
     Raises SearchBudgetExceeded once more than NODE_BUDGET states have
     been expanded in this call.
@@ -347,28 +309,19 @@ def exists_solution_with_exactly_k_flips(
         if cursor == len(order):
             return False
         key = (rest, cursor, tri.edge_mask)
-        if prune and key in failed:
+        if key in failed:
             return False
-        if prune:
-            outcomes = _node_search(tri, order[cursor], 1, rest, True, stats, goal_mask, rest, limit)
-        else:
-            outcomes = (
-                (part, outcome)
-                for part in range(1, rest + 1)
-                for outcome in iter_iteration_outcomes(tri, order[cursor], part, False, stats, _limit=limit)
-            )
-        for part, outcome in outcomes:
+        for part, outcome in _node_search(tri, order[cursor], 1, rest, stats, goal_mask, rest, limit):
             if attempt(outcome, cursor + 1, rest - part):
                 stats.iterations_run += part
                 stats.compositions_tried += part == rest
                 return True
         stats.iterations_run += rest
         stats.compositions_tried += 1
-        if prune:
-            failed.add(key)
+        failed.add(key)
         return False
 
-    if prune and 0 < k < len(order):
+    if 0 < k < len(order):
         stats.lower_bound_cuts += 1
         return False
     return attempt(start, 0, k)
@@ -378,7 +331,6 @@ def fpt_distance(
     start: Triangulation,
     goal: Triangulation,
     cap: int,
-    prune: bool = True,
     stats: SolverStats | None = None,
 ) -> int | None:
     """The flip distance from start to goal, or None when it exceeds `cap`.
@@ -395,7 +347,7 @@ def fpt_distance(
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     for k in range(len(changed_edges(start, goal)), cap + 1):
-        if exists_solution_with_exactly_k_flips(start, goal, k, prune, stats):
+        if exists_solution_with_exactly_k_flips(start, goal, k, stats):
             return k
     return None
 
@@ -404,7 +356,6 @@ def decide_flip_distance_eq(
     start: Triangulation,
     goal: Triangulation,
     k: int,
-    prune: bool = True,
     stats: SolverStats | None = None,
 ) -> bool:
     """True iff the flip distance from start to goal is exactly k.
@@ -412,4 +363,4 @@ def decide_flip_distance_eq(
     Raises ValueError for k < 0, as fpt_distance does for a negative cap,
     and SearchBudgetExceeded past NODE_BUDGET expanded states in one k.
     """
-    return fpt_distance(start, goal, k, prune, stats) == k
+    return fpt_distance(start, goal, k, stats) == k

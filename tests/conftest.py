@@ -1,5 +1,6 @@
-"""Shared fixtures: small hand-checked point sets, walk helpers, and the
-checks the tests make on flip sequences and their dependency DAGs."""
+"""Shared fixtures: small hand-checked point sets, walk helpers, the
+unpruned reference for the FPT search, and the checks the tests make on
+flip sequences and their dependency DAGs."""
 
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ from flipdist import (
     FlipSequence,
     Point,
     PointSet,
+    SolverStats,
     Triangulation,
     apply_sequence,
     bfs_distance,
     changed_edges,
     enumerate_triangulations,
-    exists_solution_with_exactly_k_flips,
     fpt_solver,
     generate_instance,
     orientation,
@@ -60,25 +61,108 @@ def polygon_fans(n: int = 20) -> tuple[Triangulation, Triangulation]:
     return fan(0), fan(n // 2)
 
 
-def searched_compositions(monkeypatch, start: Triangulation, goal: Triangulation, k: int):
-    """The part sequences exists_solution_with_exactly_k_flips walks with
-    prune=False, in search order.
+def raw_iteration_outcomes(tri: Triangulation, start, part: int, stats: SolverStats):
+    """The outcomes of one machine iteration from (tri, start): exactly
+    `part` flips within at most 2*part actions, on an empty stack.
 
-    Every iteration is replaced by one that yields its input unchanged,
-    so no run reaches the goal, the whole composition tree is walked and
-    the cursor of an iteration is its depth.  The sequences are rebuilt
-    from the recorded (cursor, flips_target) calls.
+    The unpruned reference for fpt_solver._node_search, sharing only the
+    step rules of fpt_solver._steps: a lazy depth-first walk of the raw
+    choice tree, with no dedup and no cut, that yields each outcome mask
+    once and builds a flip only for a successor it keeps.  It counts
+    states, actions and branching into `stats` as the library does.
+    """
+    emitted = set()
+    todo = [(tri, start, (), 0, 0)]
+    while todo:
+        cur, at, stack, flips, acts = todo.pop()
+        created, mask = cur.flip_preview(at) or (None, None)
+        groups = list(fpt_solver._steps(cur, at, stack, created))
+        branching = sum(len(targets) for _, targets, _ in groups)
+        stats.states_expanded += 1
+        stats.actions_generated += branching
+        stats.max_branching = max(stats.max_branching, branching)
+        acts += 1
+        flipped = None
+        for kind, targets, stk in groups:
+            move = kind == fpt_solver.MOVE
+            f = flips + (not move)
+            done = f == part  # the part's last flip; no state follows it
+            if done and (acts > 2 * part or mask in emitted):
+                continue
+            if not done and acts > part + f:  # each flip still due needs an action
+                continue
+            if not move and flipped is None:
+                flipped = cur.apply_flip(at)[0]
+            if done:
+                emitted.add(mask)
+                yield flipped
+            else:
+                todo.extend((cur if move else flipped, e, stk, f, acts) for e in targets)
+
+
+def raw_exists(
+    start: Triangulation, goal: Triangulation, k: int, stats=None, iteration=raw_iteration_outcomes
+) -> bool:
+    """exists_solution_with_exactly_k_flips without its pruning: the same
+    composition tree, with one `iteration(tri, edge, part, stats)` per
+    node and part, and no memo or cut."""
+    stats = SolverStats() if stats is None else stats
+    order = sorted(changed_edges(start, goal))
+
+    def attempt(tri: Triangulation, cursor: int, rest: int) -> bool:
+        if rest == 0:
+            return tri.edge_mask == goal.edge_mask
+        while cursor < len(order) and order[cursor] not in tri:
+            cursor += 1
+        if cursor == len(order):
+            return False
+        for part in range(1, rest + 1):
+            for outcome in iteration(tri, order[cursor], part, stats):
+                if attempt(outcome, cursor + 1, rest - part):
+                    stats.iterations_run += part
+                    stats.compositions_tried += part == rest
+                    return True
+        stats.iterations_run += rest
+        stats.compositions_tried += 1
+        return False
+
+    return attempt(start, 0, k)
+
+
+def raw_distance(start: Triangulation, goal: Triangulation, cap: int, stats=None) -> int | None:
+    """fpt_distance over raw_exists: the first k from |changed edges| to
+    `cap` that accepts, else None."""
+    for k in range(len(changed_edges(start, goal)), cap + 1):
+        if raw_exists(start, goal, k, stats):
+            return k
+    return None
+
+
+def iteration_outcomes(tri: Triangulation, start, part: int, stats=None, goal_mask=None, rest: int = 0):
+    """The outcomes of one pruned iteration of `part` flips: the search
+    of fpt_solver._node_search for that part alone, with `rest` flips
+    left for the run after it when `goal_mask` is given."""
+    stats = SolverStats() if stats is None else stats
+    search = fpt_solver._node_search(tri, start, part, part, stats, goal_mask, part + rest, float("inf"))
+    return (outcome for _, outcome in search)
+
+
+def searched_compositions(start: Triangulation, goal: Triangulation, k: int):
+    """The part sequences raw_exists walks, in search order.
+
+    Every iteration is one that yields its input unchanged, so no run
+    reaches the goal, the whole composition tree is walked and the cursor
+    of an iteration is its depth.  The sequences are rebuilt from the
+    recorded (cursor, part) calls.
     """
     order = sorted(changed_edges(start, goal))
     calls = []
 
-    def unchanged(tri, edge, flips_target, *args, **kwargs):
-        calls.append((order.index(edge), flips_target))
+    def unchanged(tri, edge, part, stats):
+        calls.append((order.index(edge), part))
         yield tri
 
-    with monkeypatch.context() as m:
-        m.setattr(fpt_solver, "iter_iteration_outcomes", unchanged)
-        assert not exists_solution_with_exactly_k_flips(start, goal, k, prune=False)
+    assert not raw_exists(start, goal, k, iteration=unchanged)
     seqs, prefix = [], []
     for cursor, part in calls:
         del prefix[cursor:]

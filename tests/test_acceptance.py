@@ -34,6 +34,7 @@ from conftest import (
     path_exists,
     polygon_fans,
     random_walk,
+    raw_distance,
     replay,
     sample_topological_sorts,
     searched_compositions,
@@ -61,7 +62,7 @@ def decide_results(pool):
     """Decision procedure over the whole pool, every k from 0 to d.
 
     Returns (violations, shared solver stats, seconds with pruning,
-    seconds without pruning on the d<=3 subset).
+    seconds of the unpruned reference on the d<=3 subset).
     """
     stats = SolverStats()
     violations = []
@@ -69,7 +70,7 @@ def decide_results(pool):
     started = time.perf_counter()
     for idx, (start, goal, d) in enumerate(pool):
         for k in range(d + 1):
-            got = decide_flip_distance_eq(start, goal, k, prune=True, stats=stats)
+            got = decide_flip_distance_eq(start, goal, k, stats=stats)
             if got != (k == d):
                 violations.append((idx, k, d, got))
     elapsed_on = time.perf_counter() - started
@@ -79,7 +80,7 @@ def decide_results(pool):
         if d > 3:
             continue
         for k in range(d + 1):
-            got = decide_flip_distance_eq(start, goal, k, prune=False, stats=stats)
+            got = raw_distance(start, goal, k, stats) == k
             if got != (k == d):
                 violations.append((idx, k, d, got))
     elapsed_off = time.perf_counter() - started
@@ -220,13 +221,13 @@ def test_criterion_6_branching_bound(decide_results):
     )
 
 
-def test_criterion_7_composition_count(monkeypatch):
+def test_criterion_7_composition_count():
     # the fans of a convex 20-gon differ in 16 edges, room for every part
     a, b = polygon_fans(20)
     bad = []
     for k in range(1, 17):
         count = 0
-        for comp in searched_compositions(monkeypatch, a, b, k):
+        for comp in searched_compositions(a, b, k):
             count += 1
             if k <= 8 and sum(comp) != k:
                 bad.append((k, comp))
@@ -275,8 +276,8 @@ def test_criterion_9_pruning_neutrality(pool):
     bad = 0
     for start, goal, d in subset:
         for k in range(d + 1):
-            pruned = decide_flip_distance_eq(start, goal, k, prune=True)
-            raw = decide_flip_distance_eq(start, goal, k, prune=False)
+            pruned = decide_flip_distance_eq(start, goal, k)
+            raw = raw_distance(start, goal, k) == k
             if pruned != raw:
                 bad += 1
     report(

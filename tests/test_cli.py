@@ -148,6 +148,17 @@ def test_distance_both_with_off_target_k(square_file, capsys):
     assert record["result"] == {"oracle": 1, "fpt": False, "agree": True}
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["distance"], ["dag", "--flips", "0-2"]])
+def test_non_utf8_instance_is_an_input_error(tmp_path, argv, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(SQUARE_TEXT.encode() + b"# \xff\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("flipdist: ") and "can't decode byte 0xff" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("engine", ["fpt", "both"])
 def test_distance_rejects_negative_k(square_file, engine, capsys):
     assert main(["distance", square_file, "--engine", engine, "--k", "-1"]) == 2
@@ -166,7 +177,7 @@ def test_distance_rejects_negative_cap(square_file, engine, capsys):
 
 @pytest.mark.parametrize("command", ["distance", "bench"])
 def test_pruning_flag_removed(square_file, command, capsys):
-    # the unpruned search has no budget, so the CLI does not offer it
+    # the library has one FPT search, always pruned, so there is nothing to switch
     argv = [command, square_file] if command == "distance" else [command]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--pruning", "off"])

@@ -205,10 +205,9 @@ def test_component_concatenation_replays(hexagon):
 
 
 def test_classify_essential_minimal_solution(square):
-    flipped, _ = square.apply_flip((0, 2))
     seq = apply_sequence(square, [(0, 2)])
     dag = build_dag(seq)
-    assert classify_essential(dag, seq, flipped) == [((1,), True)]
+    assert classify_essential(dag, seq) == [((1,), True)]
 
 
 def test_arc_lines_format(square):

@@ -7,10 +7,14 @@ import pytest
 from conftest import (
     convex_slack_strata,
     count_builds,
+    iteration_outcomes,
     pentagon_fan,
     polygon_fans,
     random_pair,
     random_walk,
+    raw_distance,
+    raw_exists,
+    raw_iteration_outcomes,
     searched_compositions,
 )
 from flipdist import (
@@ -34,7 +38,6 @@ from flipdist.fpt_solver import (
     FLIP_PUSH_MOVE,
     MAX_ACTIONS_PER_STATE,
     MOVE,
-    iter_iteration_outcomes,
 )
 from flipdist.oracle import OracleStats
 
@@ -46,19 +49,19 @@ def far_fans():
     return a, b
 
 
-def test_compositions_base_cases(monkeypatch, far_fans):
+def test_compositions_base_cases(far_fans):
     a, b = far_fans
     # k = 0 is the empty composition: no iteration, only the goal test
-    assert searched_compositions(monkeypatch, a, b, 0) == []
-    assert exists_solution_with_exactly_k_flips(a, a, 0, prune=False)
-    assert searched_compositions(monkeypatch, a, b, 1) == [(1,)]
-    assert searched_compositions(monkeypatch, a, b, 2) == [(1, 1), (2,)]
-    assert searched_compositions(monkeypatch, a, b, 3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    assert searched_compositions(a, b, 0) == []
+    assert raw_exists(a, a, 0)
+    assert searched_compositions(a, b, 1) == [(1,)]
+    assert searched_compositions(a, b, 2) == [(1, 1), (2,)]
+    assert searched_compositions(a, b, 3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
 
 
-def test_compositions_counts_and_order(monkeypatch, far_fans):
+def test_compositions_counts_and_order(far_fans):
     for k in range(1, 11):
-        comps = searched_compositions(monkeypatch, *far_fans, k)
+        comps = searched_compositions(*far_fans, k)
         assert len(comps) == 2 ** (k - 1)
         assert all(sum(c) == k and min(c) >= 1 for c in comps)
         assert comps == sorted(comps)
@@ -136,26 +139,19 @@ def test_legal_actions_bounded_on_random_walks():
 
 def test_run_iteration_single_flip(square):
     flipped, _ = square.apply_flip((0, 2))
-    assert set(iter_iteration_outcomes(square, (0, 2), 1)) == {flipped}
+    assert set(iteration_outcomes(square, (0, 2), 1)) == {flipped}
 
 
 def test_run_iteration_move_then_flip(square):
     # from a boundary edge the machine may spend one action walking to the
     # diagonal and still flip within the 2-action budget
     flipped, _ = square.apply_flip((0, 2))
-    assert set(iter_iteration_outcomes(square, (0, 1), 1)) == {flipped}
+    assert set(iteration_outcomes(square, (0, 1), 1)) == {flipped}
 
 
 def test_run_iteration_two_flips_returns_both_ways(square):
-    outcomes = set(iter_iteration_outcomes(square, (0, 2), 2))
+    outcomes = set(iteration_outcomes(square, (0, 2), 2))
     assert square in outcomes  # flip and flip back among the outcomes
-
-
-def test_run_iteration_rejects_bad_arguments(square):
-    with pytest.raises(ValueError, match="at least once"):
-        set(iter_iteration_outcomes(square, (0, 2), 0))
-    with pytest.raises(ValueError, match="not in the triangulation"):
-        set(iter_iteration_outcomes(square, (1, 3), 1))
 
 
 def test_run_iteration_prune_matches_raw():
@@ -164,8 +160,8 @@ def test_run_iteration_prune_matches_raw():
         tri, _ = random_pair(rng.choice([5, 6, 7]), 2, 1400 + seed)
         e = rng.choice(tri.edges())
         for target in (1, 2, 3):
-            pruned = {t.canonical_key() for t in iter_iteration_outcomes(tri, e, target, True)}
-            raw = {t.canonical_key() for t in iter_iteration_outcomes(tri, e, target, False)}
+            pruned = {t.canonical_key() for t in iteration_outcomes(tri, e, target)}
+            raw = {t.canonical_key() for t in raw_iteration_outcomes(tri, e, target, SolverStats())}
             assert pruned == raw
 
 
@@ -173,7 +169,7 @@ def test_run_iteration_outcomes_within_flip_distance():
     tri, _ = random_pair(6, 1, 1450)
     e = tri.edges()[0]
     for target in (1, 2):
-        for out in iter_iteration_outcomes(tri, e, target):
+        for out in iteration_outcomes(tri, e, target):
             assert bfs_distance(tri, out) <= target
 
 
@@ -242,8 +238,8 @@ def test_exists_pruning_parity_small():
         a, b = random_pair(5 + seed % 3, 1 + seed % 3, 1600 + seed)
         d = bfs_distance(a, b)
         for k in range(min(d + 2, 5)):
-            on = exists_solution_with_exactly_k_flips(a, b, k, True)
-            off = exists_solution_with_exactly_k_flips(a, b, k, False)
+            on = exists_solution_with_exactly_k_flips(a, b, k)
+            off = raw_exists(a, b, k)
             assert on == off
 
 
@@ -280,10 +276,10 @@ def test_iteration_cut_keeps_exactly_the_outcomes_within_bound():
         tri, goal = random_pair(rng.choice([6, 7]), 3, 1700 + seed)
         e = rng.choice(tri.edges())
         for target in (1, 2, 3):
-            raw = set(iter_iteration_outcomes(tri, e, target, False))
+            raw = set(raw_iteration_outcomes(tri, e, target, SolverStats()))
             for rest in (0, 1, 2):
                 stats = SolverStats()
-                cut = set(iter_iteration_outcomes(tri, e, target, True, stats, goal.edge_mask, rest))
+                cut = set(iteration_outcomes(tri, e, target, stats, goal.edge_mask, rest))
                 assert cut == {t for t in raw if (t.edge_mask & ~goal.edge_mask).bit_count() <= rest}
                 if cut != raw:
                     assert stats.lower_bound_cuts > 0
@@ -300,13 +296,13 @@ def test_node_search_gives_every_part_its_own_iteration():
         tri, goal = random_pair(rng.choice([6, 7]), 3, 1800 + seed)
         for state, _ in random_walk(tri, 3, rng):
             e = rng.choice(state.edges())
-            raw = {part: set(iter_iteration_outcomes(state, e, part, False)) for part in (1, 2, 3)}
+            raw = {part: set(raw_iteration_outcomes(state, e, part, SolverStats())) for part in (1, 2, 3)}
             for rest, mask in itertools.product((1, 2, 3), (goal.edge_mask, None)):
-                stream = list(fpt_solver._node_search(state, e, 1, rest, True, None, mask, rest, float("inf")))
+                stream = list(fpt_solver._node_search(state, e, 1, rest, SolverStats(), mask, rest, float("inf")))
                 assert stream == [
                     (part, t)
                     for part in range(1, rest + 1)
-                    for t in iter_iteration_outcomes(state, e, part, True, None, mask, rest - part)
+                    for t in iteration_outcomes(state, e, part, None, mask, rest - part)
                 ]
                 for part in range(1, rest + 1):
                     got = [t for p, t in stream if p == part]
@@ -322,9 +318,23 @@ def test_decide_beyond_changed_edges_matches_oracle(n, scramble, seed):
     d = bfs_distance(a, b)
     assert d > len(changed_edges(a, b))
     for k in range(d + 2):
-        on = decide_flip_distance_eq(a, b, k, prune=True)
-        off = decide_flip_distance_eq(a, b, k, prune=False)
+        on = decide_flip_distance_eq(a, b, k)
+        off = raw_distance(a, b, k) == k
         assert on == off == (k == d)
+
+
+def test_reference_does_not_call_the_library_search(monkeypatch):
+    # the neutrality tests compare the library search with raw_distance,
+    # which would agree with a bug of _node_search if it called it
+    def refuse(*args):
+        raise AssertionError("the reference reached fpt_solver._node_search")
+
+    n, scramble, seed = GAP_PAIRS[0]
+    a, b = generate_instance(n, "random", scramble, seed).triangulations()
+    monkeypatch.setattr(fpt_solver, "_node_search", refuse)
+    with pytest.raises(AssertionError, match="reached"):
+        fpt_distance(a, b, 6)
+    assert raw_distance(a, b, 6) == 4
 
 
 # states expanded by fpt_distance(.., 6) with the compositions walked as
@@ -336,7 +346,7 @@ STATES_AS_TREE = list(zip(GAP_PAIRS + [(14, 8, 2)], [108, 108, 114, 91, 254]))
 def test_composition_tree_expands_no_more_states(pair, states):
     a, b = generate_instance(pair[0], "random", pair[1], pair[2]).triangulations()
     stats = SolverStats()
-    assert fpt_distance(a, b, 6, True, stats) is not None
+    assert fpt_distance(a, b, 6, stats) is not None
     assert stats.states_expanded <= states
 
 
@@ -349,15 +359,16 @@ STATES_PER_NODE = list(zip(GAP_PAIRS + [(14, 8, 2)], [70, 71, 74, 63, 188]))
 def test_node_search_expands_no_more_states(pair, states):
     a, b = generate_instance(pair[0], "random", pair[1], pair[2]).triangulations()
     stats = SolverStats()
-    assert fpt_distance(a, b, 6, True, stats) is not None
+    assert fpt_distance(a, b, 6, stats) is not None
     assert stats.states_expanded <= states
 
 
 # exact counters of bfs_distance (OracleStats.nodes_visited) and of
-# fpt_distance(.., 6) with pruning on and off (SolverStats: states_expanded,
-# actions_generated, max_branching, compositions_tried, iterations_run,
-# lower_bound_cuts); any change in cuts, actions or visit order moves them.
-# The unpruned search on (14, 8, 2) runs too long for the suite.
+# fpt_distance(.., 6) and of its unpruned reference raw_distance(.., 6)
+# (SolverStats: states_expanded, actions_generated, max_branching,
+# compositions_tried, iterations_run, lower_bound_cuts); any change in
+# cuts, actions or visit order moves them.  The unpruned reference on
+# (14, 8, 2) runs too long for the suite.
 PINNED_COUNTS = {
     (6, 4, 103): (9, (70, 370, 14, 2, 7, 74), (3073, 18520, 14, 5, 11, 0)),
     (6, 4, 132): (9, (71, 372, 14, 2, 7, 74), (2929, 17366, 14, 5, 11, 0)),
@@ -374,11 +385,11 @@ def test_search_counters_are_pinned(pair):
     ostats = OracleStats()
     d = bfs_distance(a, b, stats=ostats)
     assert ostats.nodes_visited == visited
-    for prune, expected in ((True, on), (False, off)):
+    for distance, expected in ((fpt_distance, on), (raw_distance, off)):
         if expected is None:
             continue
         stats = SolverStats()
-        assert fpt_distance(a, b, 6, prune, stats) == d
+        assert distance(a, b, 6, stats) == d
         assert astuple(stats) == expected
 
 
@@ -417,7 +428,7 @@ def test_memo_shares_failures_across_prefixes():
     # with a memo keyed on its remaining parts: 5145)
     a, b = generate_instance(9, "random", 4, 111).triangulations()
     stats = SolverStats()
-    assert not exists_solution_with_exactly_k_flips(a, b, 5, True, stats)
+    assert not exists_solution_with_exactly_k_flips(a, b, 5, stats)
     assert stats.states_expanded <= 2763
 
 
@@ -505,7 +516,3 @@ def test_exists_budget_counts_states_of_the_call(monkeypatch):
     monkeypatch.setattr(fpt_solver, "NODE_BUDGET", spent - 1)
     with pytest.raises(SearchBudgetExceeded):
         exists_solution_with_exactly_k_flips(a, b, 5)
-    # the unpruned reference has the same budget, and spends more
-    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", spent)
-    with pytest.raises(SearchBudgetExceeded):
-        exists_solution_with_exactly_k_flips(a, b, 5, prune=False)
