@@ -28,7 +28,8 @@ skipped) and must perform exactly k_l flips within at most 2*k_l
 actions on a fresh stack.  The run accepts iff after all t iterations
 the current triangulation is the target.  Trying every composition
 (walked as a tree over the next part, so a shared prefix runs once, and
-with one search per tree node serving every next part at once) makes
+with one search per tree node serving every next part at once, each
+outcome tried as soon as it is found) makes
 the overall decision exact for k equal to the flip distance, and
 every accepted run is a genuine k-flip transformation, so smaller k
 never accepts.  fpt_distance rests on that pair of facts: it tries
@@ -89,9 +90,9 @@ class MachineState(NamedTuple):
 class SolverStats:
     """Counters the searches fill in; pass one instance around to aggregate.
 
-    iterations_run counts the parts the composition tree reads, once per
-    node and part: 1..the part that accepts, else all 1..rest.
-    compositions_tried counts the nodes whose last part (rest) is read.
+    iterations_run counts the node searches run, one per composition-tree
+    node that the failure memo does not answer.  compositions_tried
+    counts the (part, outcome) pairs the tree recurses on.
     """
 
     states_expanded: int = 0
@@ -147,41 +148,39 @@ def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
 def _node_search(
     tri: Triangulation,
     start: Edge,
-    first: int,
-    last: int,
+    rest: int,
+    goal_mask: int,
     stats: SolverStats,
-    goal_mask: int | None,
-    flips_left: int,
     limit: float,
 ) -> Iterator[tuple[int, Triangulation]]:
-    """(part, outcome) for the iterations of every part first..last from
-    (tri, start), in part order.  The iteration of part p reaches its
-    outcomes by exactly p flips within at most 2*p actions, starting with
-    an empty stack, and yields each once;
-    exists_solution_with_exactly_k_flips, which reads parts 1..rest,
-    argues that each part gets its own iteration's outcomes.
+    """(part, outcome) for the iterations of every part 1..rest from
+    (tri, start), each as soon as it is found.  The iteration of part p
+    reaches its outcomes by exactly p flips within at most 2*p actions,
+    starting with an empty stack, and yields each once.
 
-    A state with f flips is kept at action level a when f < last and
-    a <= last + f.  A flip to f >= first flips at level a <= 2*f is an
-    outcome of part f, once per mask, and is kept for larger parts too.
-    Levels are expanded in order, so part p is complete once a state at
-    level 2*p is popped: the part being read gets its outcomes as found,
-    later parts once the parts before them are done.
+    A state with f flips is kept at action level a when f < rest and
+    a <= rest + f.  A flip to f flips at level a <= 2*f is an outcome of
+    part f, once per mask, and is kept for larger parts too.  The states
+    with f < p flips at level a <= p + f are exactly those part p's own
+    iteration keeps: f rises by at most one per action and a by exactly
+    one, so no state outside that set leads back into it, and a dedup
+    key fixes f, so no state outside it takes a key from one inside it.
+    So each part gets exactly its own iteration's outcomes.
 
     States are deduplicated on (edge-set fingerprint, current edge, stack,
     flips done) while expanding in action-count order, so the first visit
     of a key is the one with the fewest actions spent and dropping later
     visits loses no outcome.
 
-    With `goal_mask` given, the search is one of a run that must reach
-    that target with `flips_left` flips left from the root, and any
-    successor (outcomes included) with more target-absent edges than the
-    flips left to it, `flips_left - flips_done`, is dropped before dedup.
-    Sound: a flip removes exactly one edge, so each flip lowers the count
-    of target-absent edges by at most one, and the run must bring it to
-    zero.  The count depends only on the edge mask, which is in the dedup
-    key, so a key is cut on every visit or on none and the
-    fewest-actions-first argument above still holds.
+    The search is one of a run that must reach `goal_mask` with `rest`
+    flips left from the root, and any successor (outcomes included) with
+    more target-absent edges than the flips left to it, `rest - flips
+    done`, is dropped before dedup.  Sound: a flip removes exactly one
+    edge, so each flip lowers the count of target-absent edges by at most
+    one, and the run must bring it to zero.  The count depends only on
+    the edge mask, which is in the dedup key, so a key is cut on every
+    visit or on none and the fewest-actions-first argument above still
+    holds.  A goal_mask of -1 has no absent edge and cuts nothing.
 
     The cut, the outcome check and the action budget read only the flip
     count and the mask, so they run once per step group (a cut group
@@ -189,20 +188,13 @@ def _node_search(
     SearchBudgetExceeded is raised once stats.states_expanded passes
     `limit`.
     """
-    cut = goal_mask is not None
-    if cut:
-        absent = ~goal_mask
+    absent = ~goal_mask
     # states are (triangulation, edge, stack, flips done, actions done)
     queue = deque([(tri, start, (), 0, 0)])
     seen = {(tri.edge_mask, start, (), 0)}
-    emitted: list[set[int]] = [set() for _ in range(last + 1)]
-    held: list[list[Triangulation]] = [[] for _ in range(last + 1)]
-    reading = first
+    emitted: list[set[int]] = [set() for _ in range(rest + 1)]
     while queue:
         cur, at, stack, flips, acts = queue.popleft()
-        while reading < last and 2 * reading <= acts:
-            reading += 1
-            yield from ((reading, outcome) for outcome in held[reading])
         created, flip_mask = cur.flip_preview(at) or (None, None)
         flipped = None
         # materialized so the counters are complete before any outcome is yielded
@@ -216,20 +208,17 @@ def _node_search(
         acts += 1  # every step costs one action
         for kind, targets, stk in groups:
             f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
-            if cut and (m & absent).bit_count() > flips_left - f:
+            if (m & absent).bit_count() > rest - f:
                 stats.lower_bound_cuts += len(targets)
                 continue
             # every flip group of a state reaches its one flip successor
-            if kind != MOVE and f >= first and acts <= 2 * f and m not in emitted[f]:
+            if kind != MOVE and acts <= 2 * f and m not in emitted[f]:
                 emitted[f].add(m)
                 if flipped is None:
                     flipped = cur.apply_flip(at)[0]
-                if f == reading:
-                    yield f, flipped
-                else:
-                    held[f].append(flipped)
+                yield f, flipped
             # no part needs more flips, or too few actions are left (one per flip)
-            if f == last or acts > last + f:
+            if f == rest or acts > rest + f:
                 continue
             t2 = cur if kind == MOVE else flipped
             for e in targets:
@@ -240,7 +229,6 @@ def _node_search(
                 if t2 is None:
                     t2 = flipped = cur.apply_flip(at)[0]
                 queue.append((t2, e, stk, f, acts))
-    yield from ((part, outcome) for part in range(reading + 1, last + 1) for outcome in held[part])
 
 
 def exists_solution_with_exactly_k_flips(
@@ -255,24 +243,13 @@ def exists_solution_with_exactly_k_flips(
     admissible flips ending at goal) and complete when k is the flip
     distance, which is all the distance decision needs.
 
-    attempt(tri, cursor, rest) walks the compositions as a tree: it reads
-    the outcomes of an iteration of each size 1..rest from the next
-    present changed edge, in part order, and recurses on every outcome,
-    so a shared prefix runs once, and compositions are met in
-    lexicographic order.
-
-    One _node_search per tree node serves all its parts, and each part p
-    gets the outcomes of its own iteration (_node_search from p to p), in
-    the same order, so answers are unchanged:
-    - the states with f < p flips at action level a <= p + f are exactly
-      those part p's iteration keeps, met in the same relative order;
-    - no state outside that set leads back into it, since f rises by at
-      most one per action and a by exactly one;
-    - a dedup key fixes f, so no state outside the set takes a key from
-      one inside it, and the cut reads only the mask and f, as there.
-    Part p's outcomes are yielded as found while the tree reads part p
-    and held until part p is read otherwise, so an accepting outcome of
-    a small part still ends the node before the deeper levels.
+    attempt(tri, cursor, rest) walks the compositions as a tree: one
+    _node_search from the next present changed edge yields the outcomes
+    of an iteration of each size 1..rest, and attempt recurses on each
+    (part, outcome) as it arrives, so a shared prefix runs once.  A node
+    accepts iff some (part, outcome) leads to the goal, and it tries them
+    all until one does, so the order in which they arrive cannot change
+    its answer.
 
     A root with 0 < k < |changed edges| is cut (each flip removes one
     edge, so it lowers the count of goal-absent edges by at most one;
@@ -283,8 +260,9 @@ def exists_solution_with_exactly_k_flips(
     The memo is sound because attempt's answer depends only on those
     three: over a fixed point set the mask determines the triangulation,
     and order and goal are fixed for the call, so a failure recorded
-    under one prefix holds under every prefix.  That key is coarser than
-    the remaining parts' tuple, and never wrong.
+    under one prefix holds under every prefix, whatever order the
+    outcomes came in.  That key is coarser than the remaining parts'
+    tuple, and never wrong.
 
     Raises SearchBudgetExceeded once more than NODE_BUDGET states have
     been expanded in this call.
@@ -311,13 +289,11 @@ def exists_solution_with_exactly_k_flips(
         key = (rest, cursor, tri.edge_mask)
         if key in failed:
             return False
-        for part, outcome in _node_search(tri, order[cursor], 1, rest, stats, goal_mask, rest, limit):
+        stats.iterations_run += 1
+        for part, outcome in _node_search(tri, order[cursor], rest, goal_mask, stats, limit):
+            stats.compositions_tried += 1
             if attempt(outcome, cursor + 1, rest - part):
-                stats.iterations_run += part
-                stats.compositions_tried += part == rest
                 return True
-        stats.iterations_run += rest
-        stats.compositions_tried += 1
         failed.add(key)
         return False
 

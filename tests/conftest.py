@@ -105,7 +105,9 @@ def raw_exists(
 ) -> bool:
     """exists_solution_with_exactly_k_flips without its pruning: the same
     composition tree, with one `iteration(tri, edge, part, stats)` per
-    node and part, and no memo or cut."""
+    node and part, and no memo or cut.  Its iterations_run counts the
+    parts each node reads (1..the accepting part, else all 1..rest), and
+    its compositions_tried the nodes whose last part is read."""
     stats = SolverStats() if stats is None else stats
     order = sorted(changed_edges(start, goal))
 
@@ -138,13 +140,14 @@ def raw_distance(start: Triangulation, goal: Triangulation, cap: int, stats=None
     return None
 
 
-def iteration_outcomes(tri: Triangulation, start, part: int, stats=None, goal_mask=None, rest: int = 0):
-    """The outcomes of one pruned iteration of `part` flips: the search
-    of fpt_solver._node_search for that part alone, with `rest` flips
-    left for the run after it when `goal_mask` is given."""
+def iteration_outcomes(tri: Triangulation, start, part: int, stats=None, goal_mask=-1, rest: int = 0):
+    """The outcomes of one pruned iteration of `part` flips: the part-`part`
+    outcomes of fpt_solver._node_search, with `rest` flips left for the
+    run after it to reach `goal_mask` (by default -1, which has no
+    goal-absent edge and so cuts nothing)."""
     stats = SolverStats() if stats is None else stats
-    search = fpt_solver._node_search(tri, start, part, part, stats, goal_mask, part + rest, float("inf"))
-    return (outcome for _, outcome in search)
+    search = fpt_solver._node_search(tri, start, part + rest, goal_mask, stats, float("inf"))
+    return (outcome for p, outcome in search if p == part)
 
 
 def searched_compositions(start: Triangulation, goal: Triangulation, k: int):

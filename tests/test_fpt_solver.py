@@ -286,30 +286,22 @@ def test_iteration_cut_keeps_exactly_the_outcomes_within_bound():
 
 
 def test_node_search_gives_every_part_its_own_iteration():
-    # one search per tree node serves parts 1..rest: each part's outcomes
-    # are its unpruned depth-first set minus those the cut drops, and the
-    # (part, outcome) sequence is the parts' own pruned iterations in turn
-    # (without a cut too, where later parts' outcomes are often found
-    # before an earlier part is complete)
+    # one search per tree node serves parts 1..rest, streaming each
+    # outcome as found: each part's outcomes are its unpruned depth-first
+    # set minus those the cut drops, each once (a goal mask of -1 cuts
+    # nothing)
     rng = random.Random(34)
     for seed in range(6):
         tri, goal = random_pair(rng.choice([6, 7]), 3, 1800 + seed)
         for state, _ in random_walk(tri, 3, rng):
             e = rng.choice(state.edges())
             raw = {part: set(raw_iteration_outcomes(state, e, part, SolverStats())) for part in (1, 2, 3)}
-            for rest, mask in itertools.product((1, 2, 3), (goal.edge_mask, None)):
-                stream = list(fpt_solver._node_search(state, e, 1, rest, SolverStats(), mask, rest, float("inf")))
-                assert stream == [
-                    (part, t)
-                    for part in range(1, rest + 1)
-                    for t in iteration_outcomes(state, e, part, None, mask, rest - part)
-                ]
+            for rest, mask in itertools.product((1, 2, 3), (goal.edge_mask, -1)):
+                stream = list(fpt_solver._node_search(state, e, rest, mask, SolverStats(), float("inf")))
                 for part in range(1, rest + 1):
                     got = [t for p, t in stream if p == part]
                     assert len(got) == len(set(got))
-                    assert set(got) == {
-                        t for t in raw[part] if mask is None or (t.edge_mask & ~mask).bit_count() <= rest - part
-                    }
+                    assert set(got) == {t for t in raw[part] if (t.edge_mask & ~mask).bit_count() <= rest - part}
 
 
 @pytest.mark.parametrize("n, scramble, seed", GAP_PAIRS)
@@ -370,11 +362,11 @@ def test_node_search_expands_no_more_states(pair, states):
 # cuts, actions or visit order moves them.  The unpruned reference on
 # (14, 8, 2) runs too long for the suite.
 PINNED_COUNTS = {
-    (6, 4, 103): (9, (70, 370, 14, 2, 7, 74), (3073, 18520, 14, 5, 11, 0)),
-    (6, 4, 132): (9, (71, 372, 14, 2, 7, 74), (2929, 17366, 14, 5, 11, 0)),
-    (6, 4, 166): (6, (74, 380, 14, 2, 7, 48), (3332, 17630, 14, 7, 14, 0)),
-    (7, 4, 51): (19, (63, 384, 14, 2, 7, 110), (15647, 106804, 14, 14, 22, 0)),
-    (14, 8, 2): (11534, (188, 1490, 14, 1, 6, 682), None),
+    (6, 4, 103): (9, (53, 274, 14, 4, 3, 58), (3073, 18520, 14, 5, 11, 0)),
+    (6, 4, 132): (9, (53, 272, 14, 4, 3, 58), (2929, 17366, 14, 5, 11, 0)),
+    (6, 4, 166): (6, (56, 272, 14, 4, 3, 32), (3332, 17630, 14, 7, 14, 0)),
+    (7, 4, 51): (19, (41, 244, 14, 4, 3, 66), (15647, 106804, 14, 14, 22, 0)),
+    (14, 8, 2): (11534, (188, 1490, 14, 7, 4, 682), None),
 }
 
 
@@ -484,6 +476,29 @@ def test_node_search_expands_fewer_states_on_the_hard_stratum():
     stats = SolverStats()
     assert fpt_distance(start, goal, d, stats=stats) == d
     assert stats.states_expanded <= 55_853
+
+
+def test_streamed_outcomes_expand_no_more_states():
+    # each node search yields every outcome as found, so an accepting
+    # outcome of a larger part ends the node before a smaller part is
+    # complete; releasing part p only once level 2p was popped took
+    # 70/71/74/63 on GAP_PAIRS, 31,189 on the 9-gon and 55,853 on the 10-gon
+    for (n, scramble, seed), states in zip(GAP_PAIRS, [53, 53, 56, 41]):
+        a, b = generate_instance(n, "random", scramble, seed).triangulations()
+        stats = SolverStats()
+        assert fpt_distance(a, b, 6, stats) == 4
+        assert stats.states_expanded <= states
+    start, strata = convex_slack_strata(9)
+    stats = SolverStats()
+    for slack, d, goal in strata:
+        if slack == 2:
+            assert fpt_distance(start, goal, d, stats=stats) == d
+    assert stats.states_expanded <= 27_390
+    start, strata = convex_slack_strata(10)
+    slack, d, goal = [s for s in strata if s[:2] == (3, 10)][-1]
+    stats = SolverStats()
+    assert fpt_distance(start, goal, d, stats=stats) == d
+    assert stats.states_expanded <= 53_890
 
 
 def test_fpt_budget_stops_the_max_slack_eleven_gon(monkeypatch):
