@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -212,8 +213,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     # the fork start method launches every worker at the first submit, so
-    # never ask for more workers than there are rows
-    workers = min(args.jobs, len(params))
+    # never ask for more workers than there are rows or CPUs
+    workers = min(args.jobs, len(params), os.cpu_count() or 1)
     if workers > 1:
         # imported here because multiprocessing adds about 2 MB to every
         # process that imports this module

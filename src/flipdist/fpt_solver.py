@@ -54,11 +54,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .oracle import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
+from .oracle import SearchBudgetExceeded
 from .triangulation import Edge, Triangulation, changed_edges, ensure_same_points
 
 # read at call time, so it can be lowered for a test
-NODE_BUDGET = DEFAULT_NODE_BUDGET
+NODE_BUDGET = 1_000_000
 
 MOVE = "move"
 FLIP_MOVE = "flip_move"

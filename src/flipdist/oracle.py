@@ -5,9 +5,10 @@ graph whose vertices are triangulations and whose edges are single
 admissible flips, deduplicating states by their edge-set fingerprint.
 Each successor is judged on the edge mask Triangulation.flips() gives
 it (O(1)); only the successors a search keeps are built, which costs
-O(n) each.  bfs_distance and the geodesic labels come from one
-breadth-first walk, _bfs; astar_distance is a best-first search guided by
-the count of goal-absent edges, and bfs_distance is its reference.
+O(n) each.  bfs_distance, the geodesic labels and enumerate_triangulations
+come from one breadth-first walk, _bfs; astar_distance is a best-first
+search guided by the count of goal-absent edges, and bfs_distance is its
+reference.  Every search raises SearchBudgetExceeded past NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .flip_dag import FlipSequence, apply_sequence
 from .triangulation import Edge, Triangulation, ensure_same_points
 
 DEFAULT_CAP = 10
-DEFAULT_NODE_BUDGET = 1_000_000
+# read at call time, so it can be lowered for a test
+NODE_BUDGET = 1_000_000
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -32,17 +34,18 @@ class OracleStats:
 
 
 def _bfs(
-    root: Triangulation, max_depth: int, node_budget: int, what: str
-) -> Iterator[tuple[int, int]]:
-    """Yield (depth, edge mask) for every triangulation within `max_depth`
-    flips of root, each once, level by level.
+    root: Triangulation, max_depth: int, what: str
+) -> Iterator[tuple[int, int, Triangulation | None, Edge | None]]:
+    """Yield (depth, edge mask, parent, flipped edge) for every
+    triangulation within `max_depth` flips of root, each once, level by
+    level; the root comes first, with parent and edge None.
 
     A new state is kept as (parent, flipped edge) and built only when its
     level is expanded, so the last level is never built.  Each state is
     yielded before the budget check, so a caller that stops at its goal
-    finds it even on the state that would exceed `node_budget`.
+    finds it even on the state that would exceed NODE_BUDGET.
     """
-    yield 0, root.edge_mask
+    yield 0, root.edge_mask, None, None
     visited = {root.edge_mask}
     frontier: Iterable[Triangulation] = [root]
     for depth in range(1, max_depth + 1):
@@ -52,9 +55,9 @@ def _bfs(
                 if m in visited:
                     continue
                 visited.add(m)
-                yield depth, m
-                if len(visited) > node_budget:
-                    raise SearchBudgetExceeded(f"{what} exceeded {node_budget} triangulations")
+                yield depth, m, tri, e
+                if len(visited) > NODE_BUDGET:
+                    raise SearchBudgetExceeded(f"{what} exceeded {NODE_BUDGET} triangulations")
                 nxt.append((tri, e))
         if not nxt:
             return
@@ -65,18 +68,17 @@ def bfs_distance(
     start: Triangulation,
     goal: Triangulation,
     cap: int = DEFAULT_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     stats: OracleStats | None = None,
 ) -> int | None:
     """Exact flip distance by breadth-first search, or None when it exceeds `cap`.
 
-    Raises SearchBudgetExceeded after visiting more than `node_budget`
+    Raises SearchBudgetExceeded after visiting more than NODE_BUDGET
     distinct triangulations.
     """
     ensure_same_points(start, goal)
     goal_mask = goal.edge_mask
     visited = 0
-    for depth, m in _bfs(start, cap, node_budget, "flip-graph BFS"):
+    for depth, m, _, _ in _bfs(start, cap, "flip-graph BFS"):
         visited += 1
         if m == goal_mask:
             break
@@ -91,7 +93,6 @@ def astar_distance(
     start: Triangulation,
     goal: Triangulation,
     cap: int = DEFAULT_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     stats: OracleStats | None = None,
 ) -> int | None:
     """Exact flip distance by best-first (A*) search, or None when it exceeds `cap`.
@@ -114,7 +115,7 @@ def astar_distance(
     when popped; successors are judged on the masks flips() gives.  A
     best-g map keyed by mask drops a successor whose g is no better and a
     stale pop.  Same contract as bfs_distance: raises SearchBudgetExceeded
-    once more than `node_budget` distinct triangulations have been
+    once more than NODE_BUDGET distinct triangulations have been
     generated, and adds their count to `stats.nodes_visited`.
     """
     ensure_same_points(start, goal)
@@ -147,8 +148,8 @@ def astar_distance(
             if i2 > room:
                 continue
             best[m2] = g
-            if len(best) > node_budget:
-                raise SearchBudgetExceeded(f"flip-graph A* exceeded {node_budget} triangulations")
+            if len(best) > NODE_BUDGET:
+                raise SearchBudgetExceeded(f"flip-graph A* exceeded {NODE_BUDGET} triangulations")
             while len(buckets) <= i2:
                 buckets.append([])
             buckets[i2].append((g, m2, tri, e2))
@@ -162,7 +163,6 @@ def enumerate_minimal_solutions(
     goal: Triangulation,
     distance: int,
     limit: int = 20,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[FlipSequence]:
     """Up to `limit` shortest flip sequences from start to goal, in
     lexicographic order of their edge lists.
@@ -174,12 +174,7 @@ def enumerate_minimal_solutions(
     ensure_same_points(start, goal)
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    if distance == 0:
-        if start.edge_mask != goal.edge_mask:
-            raise ValueError("distance 0 given for distinct triangulations")
-        return [apply_sequence(start, [])]
-
-    labels = {m: d for d, m in _bfs(goal, distance - 1, node_budget, "geodesic labelling")}
+    labels = {m: d for d, m, _, _ in _bfs(goal, distance - 1, "geodesic labelling")}
     found: list[list[Edge]] = []
 
     # walk is entered only while fewer than `limit` sequences are found
@@ -202,28 +197,13 @@ def enumerate_minimal_solutions(
     return [apply_sequence(start, edges) for edges in found]
 
 
-def enumerate_triangulations(
-    seed: Triangulation, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list[Triangulation]:
+def enumerate_triangulations(seed: Triangulation) -> list[Triangulation]:
     """Every triangulation reachable from `seed` by flips, sorted by key.
 
     Flip graphs of planar point sets are connected, so this is every
-    triangulation of the point set.
+    triangulation of the point set.  Each level of _bfs adds a new
+    state, so a walk NODE_BUDGET deep reaches every one the budget allows.
     """
-    visited = {seed.edge_mask}
-    out = [seed]
-    stack = [seed]
-    while stack:
-        tri = stack.pop()
-        for e, m in tri.flips():
-            if m in visited:
-                continue
-            visited.add(m)
-            if len(visited) > node_budget:
-                raise SearchBudgetExceeded(
-                    f"triangulation enumeration exceeded {node_budget} states"
-                )
-            t2, _ = tri.apply_flip(e)
-            out.append(t2)
-            stack.append(t2)
+    walk = _bfs(seed, NODE_BUDGET, "triangulation enumeration")
+    out = [seed] + [t.apply_flip(e)[0] for _, _, t, e in walk if t is not None]
     return sorted(out, key=Triangulation.canonical_key)

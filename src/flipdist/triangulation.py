@@ -266,19 +266,17 @@ class Triangulation:
 
     def flips(self) -> Iterator[tuple[Edge, int]]:
         """(edge, edge mask after flipping it) for each admissible edge, in
-        canonical edge order: flip_preview fused into one loop, O(1) per
-        edge, and nothing is built."""
-        opp, mask, quad = self._opp, self.edge_mask, self.ps.quad_convex
-        bit = self.ps.edge_bit
+        canonical edge order: flip_preview of every edge, O(1) each, and
+        nothing is built."""
+        preview = self.flip_preview
         for e in self.edges():
-            ws = opp[e]
-            if len(ws) == 2 and quad(e[0], ws[0], e[1], ws[1]):
-                yield e, mask ^ bit(e) ^ bit(ws)
+            p = preview(e)
+            if p:
+                yield e, p[1]
 
     def admissible_edges(self) -> list[Edge]:
         """The edges flips() yields, in the same order, without their masks."""
-        quad = self.ps.quad_convex
-        return sorted(e for e, ws in self._opp.items() if len(ws) == 2 and quad(e[0], ws[0], e[1], ws[1]))
+        return sorted(filter(self.flip_preview, self._opp))
 
     def edges_sharing_triangle(self, e: Edge) -> tuple[Edge, ...]:
         """Edges that lie in a common triangle with e, canonically sorted.
@@ -300,8 +298,8 @@ class Triangulation:
         ws = self._opp.get(e)  # e's apexes, already sorted
         if ws is None or len(ws) == 1 or not self.ps.quad_convex(e[0], ws[0], e[1], ws[1]):
             return None
-        bit = self.ps.edge_bit
-        return ws, self.edge_mask ^ bit(e) ^ bit(ws)
+        index = self.ps._edge_index  # edge_bit inlined: the searches preview every edge
+        return ws, self.edge_mask ^ (1 << index[e]) ^ (1 << index[ws])
 
     def apply_flip(self, e: Edge) -> tuple["Triangulation", Edge]:
         """Flip interior edge e; returns (new triangulation, created diagonal).

@@ -216,7 +216,7 @@ def convex_slack_strata(n: int) -> tuple[Triangulation, list[tuple[int, int, Tri
     canonical order.  Slack is the distance minus the start's goal-absent
     edge count; the distances come from one BFS."""
     start, _ = generate_instance(n, "convex", 0, 1).triangulations()
-    depth = {m: d for d, m in _bfs(start, 4 * n, 10**6, "slack strata")}
+    depth = {m: d for d, m, _, _ in _bfs(start, 4 * n, "slack strata")}
     strata = []
     for goal in enumerate_triangulations(start):
         d = depth[goal.edge_mask]

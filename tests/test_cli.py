@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -264,6 +265,36 @@ def test_bench_jobs_capped_at_row_count(capsys, monkeypatch):
     capped = capsys.readouterr().out
 
     assert len(strip_timing(capped)) == 1
+    assert strip_timing(serial) == strip_timing(capped)
+
+
+def test_bench_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    # four rows on two CPUs: --jobs 64 must ask for two workers
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = ["bench", "--n", "5", "--trials", "4", "--seed", "21"]
+    assert main(args + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--jobs", "64"]) == 0
+    capped = capsys.readouterr().out
+
+    assert asked == [2]
+    assert len(strip_timing(capped)) == 4
     assert strip_timing(serial) == strip_timing(capped)
 
 

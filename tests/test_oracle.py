@@ -11,6 +11,7 @@ from flipdist import (
     enumerate_triangulations,
     generate_instance,
 )
+from flipdist import oracle
 from flipdist.oracle import OracleStats, _bfs
 
 
@@ -62,16 +63,19 @@ def test_cap_returns_none(fans):
     assert bfs_distance(fans[0], fans[1], cap=2) == 2
 
 
-def test_node_budget_exceeded(fans):
+def test_node_budget_exceeded(fans, monkeypatch):
     # first expansion inserts a non-goal neighbor, blowing a budget of 1
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 1)
     with pytest.raises(SearchBudgetExceeded):
-        bfs_distance(fans[0], fans[1], node_budget=1)
+        bfs_distance(fans[0], fans[1])
 
 
 # (search, the last node budget that raises, the result one above it).
-# All four walk the flip graph through Triangulation.flips(); bfs_distance
-# finds its goal before the budget check of the goal's own state, and
-# astar_distance counts every state it queues, the goal included.
+# bfs_distance, the geodesic labelling and enumerate_triangulations walk
+# the flip graph through _bfs, astar_distance through
+# Triangulation.flips(); bfs_distance finds its goal before the budget
+# check of the goal's own state, and astar_distance counts every state it
+# queues, the goal included.
 BUDGET_BOUNDARIES = [
     ("bfs_distance", 17, 4),
     ("astar_distance", 11, 4),
@@ -80,23 +84,24 @@ BUDGET_BOUNDARIES = [
 ]
 
 
-def _run_search(search: str, node_budget: int) -> int:
+def _run_search(search: str, node_budget: int, monkeypatch) -> int:
+    monkeypatch.setattr(oracle, "NODE_BUDGET", node_budget)
     a, b = generate_instance(7, "random", 4, 51).triangulations()
     if search == "bfs_distance":
-        return bfs_distance(a, b, node_budget=node_budget)
+        return bfs_distance(a, b)
     if search == "astar_distance":
-        return astar_distance(a, b, node_budget=node_budget)
+        return astar_distance(a, b)
     if search == "enumerate_minimal_solutions":
-        return len(enumerate_minimal_solutions(a, b, 4, node_budget=node_budget))
+        return len(enumerate_minimal_solutions(a, b, 4))
     hexagon, _ = generate_instance(6, "convex", 0, 1).triangulations()
-    return len(enumerate_triangulations(hexagon, node_budget=node_budget))
+    return len(enumerate_triangulations(hexagon))
 
 
 @pytest.mark.parametrize("search, last_raising, result", BUDGET_BOUNDARIES)
-def test_node_budget_boundary(search, last_raising, result):
+def test_node_budget_boundary(search, last_raising, result, monkeypatch):
     with pytest.raises(SearchBudgetExceeded):
-        _run_search(search, last_raising)
-    assert _run_search(search, last_raising + 1) == result
+        _run_search(search, last_raising, monkeypatch)
+    assert _run_search(search, last_raising + 1, monkeypatch) == result
 
 
 def test_stats_counts_nodes(square):
@@ -121,7 +126,7 @@ def test_astar_matches_bfs_on_every_pair_of_a_convex_octagon():
     assert len(world) == 132
     for start in world:
         # one BFS from start gives its distance to every goal
-        depth = {m: d for d, m in _bfs(start, 100, 10**6, "reference")}
+        depth = {m: d for d, m, _, _ in _bfs(start, 100, "reference")}
         assert [astar_distance(start, goal, cap=100) for goal in world] == [
             depth[goal.edge_mask] for goal in world
         ]

@@ -203,8 +203,8 @@ def test_derived_triangles_round_trip():
 
 def test_flip_preview_matches_apply_flip():
     # the searches judge a successor on the preview (or on flips(), which
-    # fuses it with the admissibility test) and build only those they
-    # keep, so the preview must agree with the flip it stands for;
+    # runs it over every edge) and build only those they keep, so the
+    # preview must agree with the flip it stands for;
     # the mask is also recomputed from the flipped apex map, bit by bit
     rng = random.Random(14)
     for n in range(5, 10):
