@@ -40,10 +40,10 @@ def _bfs(
     triangulation within `max_depth` flips of root, each once, level by
     level; the root comes first, with parent and edge None.
 
-    A new state is kept as (parent, flipped edge) and built only when its
-    level is expanded, so the last level is never built.  Each state is
-    yielded before the budget check, so a caller that stops at its goal
-    finds it even on the state that would exceed NODE_BUDGET.
+    A new state is built only when its level is expanded, so the last
+    level is never built, and not at all if a caller sends it, built, in
+    reply to its yield.  Each state is yielded before the budget check,
+    so a goal is found even on the state that exceeds NODE_BUDGET.
     """
     yield 0, root.edge_mask, None, None
     visited = {root.edge_mask}
@@ -55,13 +55,13 @@ def _bfs(
                 if m in visited:
                     continue
                 visited.add(m)
-                yield depth, m, tri, e
+                built = yield depth, m, tri, e
                 if len(visited) > NODE_BUDGET:
                     raise SearchBudgetExceeded(f"{what} exceeded {NODE_BUDGET} triangulations")
-                nxt.append((tri, e))
+                nxt.append((tri, e) if built is None else (built, None))
         if not nxt:
             return
-        frontier = (t.apply_flip(e)[0] for t, e in nxt)
+        frontier = (t if e is None else t.apply_flip(e)[0] for t, e in nxt)
 
 
 def bfs_distance(
@@ -205,5 +205,8 @@ def enumerate_triangulations(seed: Triangulation) -> list[Triangulation]:
     state, so a walk NODE_BUDGET deep reaches every one the budget allows.
     """
     walk = _bfs(seed, NODE_BUDGET, "triangulation enumeration")
-    out = [seed] + [t.apply_flip(e)[0] for _, _, t, e in walk if t is not None]
+    next(walk)  # the seed; the walk drops what is sent in reply to it
+    out = [seed]
+    for _, _, t, e in iter(lambda: walk.send(out[-1]), None):  # no second build
+        out.append(t.apply_flip(e)[0])
     return sorted(out, key=Triangulation.canonical_key)

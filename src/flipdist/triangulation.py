@@ -11,7 +11,6 @@ their edge sets do.
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -52,15 +51,20 @@ def make_triangle(a: int, b: int, c: int) -> Triangle:
     return (x, y, z)
 
 
+def edge_bit(e: Edge) -> int:
+    """Bit v(v-1)/2 + u of canonical edge (u, v): one bit per point pair."""
+    u, v = e
+    return 1 << (v * (v - 1) // 2 + u)
+
+
 class PointSet:
     """An immutable labelled point set shared by many triangulations.
 
     Construction validates coordinates (integers within 32-bit range, no
     duplicates, not all collinear) and precomputes everything every
     triangulation of the set has in common: the boundary edges of the
-    hull chain, the triangle count forced by Euler's formula, one bit per
-    point pair for edge-set fingerprints, and a cache of
-    convex-quadrilateral verdicts.
+    hull chain, the triangle count forced by Euler's formula, and a cache
+    of convex-quadrilateral verdicts.
     """
 
     __slots__ = (
@@ -69,7 +73,6 @@ class PointSet:
         "hull_size",
         "expected_triangles",
         "hull_area2",
-        "_edge_index",
         "_quad_cache",
     )
 
@@ -101,20 +104,13 @@ class PointSet:
             make_edge(chain[i].id, chain[(i + 1) % h].id) for i in range(h)
         )
         self.hull_size = h
-        n = len(pts)
         # Euler count; h counts every point on the hull boundary, not just corners.
-        self.expected_triangles = 2 * n - h - 2
+        self.expected_triangles = 2 * len(pts) - h - 2
         self.hull_area2 = polygon_area2(chain)
-
-        # bit indices: storing the bits 1 << i would take Theta(n^4) bits
-        self._edge_index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
         self._quad_cache: dict[tuple[int, int, int, int], bool] = {}
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def edge_bit(self, e: Edge) -> int:
-        return 1 << self._edge_index[e]
 
     def quad_convex(self, a: int, c: int, b: int, d: int) -> bool:
         """Memoized: is the quadrilateral a, c, b, d (cyclic) strictly convex?"""
@@ -246,7 +242,7 @@ class Triangulation:
         opp_sorted = {e: tuple(sorted(ws)) for e, ws in opp.items()}
         mask = 0
         for e in opp_sorted:
-            mask |= ps.edge_bit(e)
+            mask |= edge_bit(e)
         return cls(ps, opp_sorted, mask)
 
     # -- queries ---------------------------------------------------------
@@ -298,8 +294,8 @@ class Triangulation:
         ws = self._opp.get(e)  # e's apexes, already sorted
         if ws is None or len(ws) == 1 or not self.ps.quad_convex(e[0], ws[0], e[1], ws[1]):
             return None
-        index = self.ps._edge_index  # edge_bit inlined: the searches preview every edge
-        return ws, self.edge_mask ^ (1 << index[e]) ^ (1 << index[ws])
+        (u, v), (c, d) = e, ws  # edge_bit inlined: the searches preview every edge
+        return ws, self.edge_mask ^ (1 << (v * (v - 1) // 2 + u)) ^ (1 << (d * (d - 1) // 2 + c))
 
     def apply_flip(self, e: Edge) -> tuple["Triangulation", Edge]:
         """Flip interior edge e; returns (new triangulation, created diagonal).

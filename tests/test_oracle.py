@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_pair
+from conftest import count_builds, random_pair
 from flipdist import (
     SearchBudgetExceeded,
     astar_distance,
@@ -28,6 +28,15 @@ def test_pentagon_has_five_triangulations(fans):
     all_tris = enumerate_triangulations(fans[0])
     assert len(all_tris) == 5
     assert {t.canonical_key() for t in all_tris} == {f.canonical_key() for f in fans}
+
+
+def test_enumeration_builds_each_triangulation_once(monkeypatch):
+    # the walk expands the states enumerate_triangulations builds and
+    # sends back, so every triangulation but the seed takes one build
+    seed, _ = generate_instance(10, "convex", 0, 1).triangulations()
+    built = count_builds(monkeypatch)
+    assert len(enumerate_triangulations(seed)) == 1430
+    assert built[0] == 1429
 
 
 def test_pentagon_flip_graph_is_a_five_cycle(fans):

@@ -26,6 +26,7 @@ from flipdist import (
     make_triangle,
     scan_triangulation,
 )
+from flipdist.triangulation import edge_bit
 
 
 def test_build_square(square):
@@ -119,8 +120,8 @@ def test_build_shares_point_set_object(pentagon_ps):
 
 
 def test_point_set_edge_table_memory():
-    # one table entry per point pair: storing each bit 1 << i, not its
-    # index i, takes Theta(n^4) bits, 134 MB for these 300 points
+    # a point set stores nothing per point pair: a table of the bits
+    # 1 << i, one per pair, took Theta(n^4) bits, 134 MB for these 300 points
     tracemalloc.start()
     try:
         ps = PointSet([(i, i * i % 1009) for i in range(300)])
@@ -128,7 +129,33 @@ def test_point_set_edge_table_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    assert ps.edge_bit((0, 1)) == 1 and ps.edge_bit((298, 299)) == 1 << (300 * 299 // 2 - 1)
+    assert edge_bit((0, 1)) == 1 and edge_bit((298, 299)) == 1 << (300 * 299 // 2 - 1)
+
+
+def test_point_set_memory_is_linear():
+    # edge bits are computed, not looked up: a table of C(n, 2) bit
+    # indices took about 60 MB for these 1000 points
+    tracemalloc.start()
+    try:
+        PointSet([(i, i * i) for i in range(1000)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_edge_bit_numbers_pairs_by_larger_vertex():
+    pairs = list(combinations(range(12), 2))
+    assert [edge_bit((u, v)) for u, v in pairs] == [1 << (v * (v - 1) // 2 + u) for u, v in pairs]
+    # one distinct bit per pair, and the 66 pairs fill bits 0..65
+    assert sorted(map(edge_bit, pairs)) == [1 << i for i in range(len(pairs))]
+
+
+def _mask_of(tri: Triangulation) -> int:
+    mask = 0
+    for e in tri.edges():
+        mask |= edge_bit(e)
+    return mask
 
 
 def test_is_admissible(square, pinwheel):
@@ -205,12 +232,13 @@ def test_flip_preview_matches_apply_flip():
     # the searches judge a successor on the preview (or on flips(), which
     # runs it over every edge) and build only those they keep, so the
     # preview must agree with the flip it stands for;
-    # the mask is also recomputed from the flipped apex map, bit by bit
+    # the mask is also recomputed from the apex map, bit by bit
     rng = random.Random(14)
     for n in range(5, 10):
         for hull in ("random", "convex"):
             for seed in range(3):
                 start, _ = generate_instance(n, hull, 0, 700 + 10 * n + seed).triangulations()
+                assert start.edge_mask == _mask_of(start)  # build's mask; every flip's below
                 for tri, _ in random_walk(start, 10, rng):
                     assert list(tri.flips()) == [
                         (e, tri.flip_preview(e)[1]) for e in tri.edges() if tri.flip_preview(e)
@@ -228,10 +256,7 @@ def test_flip_preview_matches_apply_flip():
                         flipped, created = tri.apply_flip(e)
                         assert tri.flip_preview(e) == (created, flipped.edge_mask)
                         assert changed_edges(flipped, tri) == {created}
-                        mask = 0
-                        for edge in flipped.edges():
-                            mask |= tri.ps.edge_bit(edge)
-                        assert flipped.edge_mask == mask
+                        assert flipped.edge_mask == _mask_of(flipped)
 
 
 def test_edges_sharing_triangle_square(square):
