@@ -8,14 +8,7 @@ the size of the flip graph.  The flip_dag module exposes the dependency structur
 flip sequences that justifies the second engine.
 """
 
-from .geometry import (
-    COLLINEAR,
-    LEFT,
-    RIGHT,
-    Point,
-    is_strictly_convex_quad,
-    orientation,
-)
+from .geometry import Point
 from .triangulation import (
     Edge,
     InadmissibleFlip,
@@ -67,12 +60,7 @@ from .instances import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "COLLINEAR",
-    "LEFT",
-    "RIGHT",
     "Point",
-    "is_strictly_convex_quad",
-    "orientation",
     "Edge",
     "Triangle",
     "PointSet",

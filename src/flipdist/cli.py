@@ -283,10 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, InvalidTriangulation, InvalidFlipSequence, GenerationError) as exc:
-        print(f"flipdist: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except (
+        InstanceFormatError, InvalidTriangulation, InvalidFlipSequence, GenerationError,
+        OSError, UnicodeDecodeError,
+    ) as exc:
         print(f"flipdist: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SearchBudgetExceeded as exc:

@@ -11,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-LEFT = 1
-COLLINEAR = 0
-RIGHT = -1
-
 # |x|, |y| must stay strictly below this bound.
 COORD_LIMIT = 2**31
 
@@ -31,33 +27,6 @@ class Point:
 def cross(p: Point, q: Point, r: Point) -> int:
     """Twice the signed area of triangle (p, q, r); >0 iff r lies left of p->q."""
     return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-
-
-def orientation(p: Point, q: Point, r: Point) -> int:
-    """LEFT, RIGHT or COLLINEAR for the turn p -> q -> r."""
-    c = cross(p, q, r)
-    if c > 0:
-        return LEFT
-    if c < 0:
-        return RIGHT
-    return COLLINEAR
-
-
-def is_strictly_convex_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff a, b, c, d in this cyclic order form a strictly convex quadrilateral.
-
-    All four consecutive turns must have the same nonzero orientation;
-    any collinear triple fails.
-    """
-    ring = (a, b, c, d)
-    first = orientation(ring[0], ring[1], ring[2])
-    if first == COLLINEAR:
-        return False
-    for i in (1, 2, 3):
-        p, q, r = ring[i], ring[(i + 1) % 4], ring[(i + 2) % 4]
-        if orientation(p, q, r) != first:
-            return False
-    return True
 
 
 def triangle_area2(p: Point, q: Point, r: Point) -> int:

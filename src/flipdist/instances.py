@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import Point, convex_hull, monotone_chains
+from .geometry import COORD_LIMIT, Point, convex_hull, monotone_chains
 from .triangulation import PointSet, Triangle, Triangulation, make_triangle
 
 HEADER = "flipdist v1"
@@ -194,7 +194,9 @@ def _random_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int
 
 
 def _convex_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int]]:
-    radius = max(span, 10 * n)
+    # the middle of three neighbours at angle gaps a, b lies about radius*a*b/2
+    # off their chord: about 20n grid units at gaps 2pi/n, far above rounding
+    radius = min(max(span, n**3), COORD_LIMIT - 1)
     for _ in range(2000):
         angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
         pts = [

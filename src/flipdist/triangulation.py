@@ -18,7 +18,6 @@ from .geometry import (
     Point,
     cross,
     hull_boundary_chain,
-    is_strictly_convex_quad,
     polygon_area2,
     triangle_area2,
     COORD_LIMIT,
@@ -63,8 +62,8 @@ class PointSet:
     Construction validates coordinates (integers within 32-bit range, no
     duplicates, not all collinear) and precomputes everything every
     triangulation of the set has in common: the boundary edges of the
-    hull chain, the triangle count forced by Euler's formula, and a cache
-    of convex-quadrilateral verdicts.
+    hull chain, the triangle count forced by Euler's formula and the
+    hull's area.  Nothing is added after construction.
     """
 
     __slots__ = (
@@ -73,7 +72,6 @@ class PointSet:
         "hull_size",
         "expected_triangles",
         "hull_area2",
-        "_quad_cache",
     )
 
     def __init__(self, coords: Iterable[tuple[int, int]]):
@@ -107,20 +105,9 @@ class PointSet:
         # Euler count; h counts every point on the hull boundary, not just corners.
         self.expected_triangles = 2 * len(pts) - h - 2
         self.hull_area2 = polygon_area2(chain)
-        self._quad_cache: dict[tuple[int, int, int, int], bool] = {}
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def quad_convex(self, a: int, c: int, b: int, d: int) -> bool:
-        """Memoized: is the quadrilateral a, c, b, d (cyclic) strictly convex?"""
-        key = (a, c, b, d)
-        hit = self._quad_cache.get(key)
-        if hit is None:
-            pts = self.points
-            hit = is_strictly_convex_quad(pts[a], pts[c], pts[b], pts[d])
-            self._quad_cache[key] = hit
-        return hit
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PointSet) and self.points == other.points
@@ -290,11 +277,26 @@ class Triangulation:
         """(created diagonal, edge mask after the flip) if e is admissible,
         else None: e must be present, interior, and its quadrilateral
         strictly convex.  O(1), and the flipped triangulation is not built.
+
+        Convexity takes two cross products.  The apexes c, d of an interior
+        edge uv lie strictly on opposite sides of it, so the quadrilateral
+        u, c, v, d is strictly convex exactly when u and v lie strictly on
+        opposite sides of cd: then the diagonals cross properly, and no
+        three of the four points are collinear.  The premise holds for
+        every triangulation: build's "overlapping triangles" check
+        establishes it, and an admissible flip keeps it.  The created
+        diagonal cd has apexes u and v, which cd splits; each side, say
+        uc, trades apex v for d, and convexity puts d on v's side of uc.
         """
         ws = self._opp.get(e)  # e's apexes, already sorted
-        if ws is None or len(ws) == 1 or not self.ps.quad_convex(e[0], ws[0], e[1], ws[1]):
+        if ws is None or len(ws) == 1:
             return None
-        (u, v), (c, d) = e, ws  # edge_bit inlined: the searches preview every edge
+        (u, v), (c, d) = e, ws
+        pts = self.ps.points
+        pc, pd = pts[c], pts[d]
+        if cross(pc, pd, pts[u]) * cross(pc, pd, pts[v]) >= 0:
+            return None
+        # edge_bit inlined: the searches preview every edge
         return ws, self.edge_mask ^ (1 << (v * (v - 1) // 2 + u)) ^ (1 << (d * (d - 1) // 2 + c))
 
     def apply_flip(self, e: Edge) -> tuple["Triangulation", Edge]:

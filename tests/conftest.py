@@ -23,8 +23,8 @@ from flipdist import (
     enumerate_triangulations,
     fpt_solver,
     generate_instance,
-    orientation,
 )
+from flipdist.geometry import cross
 from flipdist.oracle import _bfs
 
 SQUARE_POINTS = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -230,11 +230,16 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     Proper crossings only: touching at an endpoint, T-junctions and
     collinear overlap all report False.
     """
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    return cross(a, b, c) * cross(a, b, d) < 0 and cross(c, d, a) * cross(c, d, b) < 0
+
+
+def strictly_convex_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Reference for flip_preview's two-cross test: a, b, c, d in this
+    cyclic order form a strictly convex quadrilateral iff all four
+    consecutive turns have one nonzero sign (a collinear triple fails)."""
+    ring = (a, b, c, d)
+    turns = [cross(ring[i], ring[(i + 1) % 4], ring[(i + 2) % 4]) for i in range(4)]
+    return all(t > 0 for t in turns) or all(t < 0 for t in turns)
 
 
 def share_triangle(tri: Triangulation, e1, e2) -> bool:

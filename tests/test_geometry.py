@@ -3,18 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import segments_cross
+from conftest import segments_cross, strictly_convex_quad
 from flipdist import Triangulation, scan_triangulation
 from flipdist.geometry import (
-    COLLINEAR,
-    LEFT,
-    RIGHT,
     Point,
     convex_hull,
     cross,
     hull_boundary_chain,
-    is_strictly_convex_quad,
-    orientation,
     polygon_area2,
 )
 
@@ -28,24 +23,25 @@ def rand_point(rng):
 
 
 def test_orientation_examples():
-    assert orientation(P(0, 0), P(2, 0), P(1, 1)) == LEFT
-    assert orientation(P(0, 0), P(2, 0), P(1, -1)) == RIGHT
-    assert orientation(P(0, 0), P(2, 2), P(1, 1)) == COLLINEAR
+    # the sign of cross is the turn p -> q -> r: left, right, collinear
+    assert cross(P(0, 0), P(2, 0), P(1, 1)) > 0
+    assert cross(P(0, 0), P(2, 0), P(1, -1)) < 0
+    assert cross(P(0, 0), P(2, 2), P(1, 1)) == 0
 
 
 def test_orientation_swap_flips_sign():
     rng = random.Random(1)
     for _ in range(500):
         p, q, r = (rand_point(rng) for _ in range(3))
-        assert orientation(p, q, r) == -orientation(q, p, r)
-        assert orientation(p, q, r) == -orientation(p, r, q)
+        assert cross(p, q, r) == -cross(q, p, r)
+        assert cross(p, q, r) == -cross(p, r, q)
 
 
 def test_orientation_cyclic_invariance():
     rng = random.Random(2)
     for _ in range(500):
         p, q, r = (rand_point(rng) for _ in range(3))
-        assert orientation(p, q, r) == orientation(q, r, p) == orientation(r, p, q)
+        assert cross(p, q, r) == cross(q, r, p) == cross(r, p, q)
 
 
 def test_segments_cross_examples():
@@ -72,24 +68,24 @@ def test_segments_cross_symmetries():
 
 
 def test_convex_quad_examples():
-    assert is_strictly_convex_quad(P(0, 0), P(1, 0), P(1, 1), P(0, 1))
+    assert strictly_convex_quad(P(0, 0), P(1, 0), P(1, 1), P(0, 1))
     # dent: (2,1) lies inside the triangle of the other three
-    assert not is_strictly_convex_quad(P(0, 0), P(4, 0), P(2, 1), P(2, 3))
+    assert not strictly_convex_quad(P(0, 0), P(4, 0), P(2, 1), P(2, 3))
     # collinear triple on the ring
-    assert not is_strictly_convex_quad(P(0, 0), P(1, 0), P(2, 0), P(0, 1))
+    assert not strictly_convex_quad(P(0, 0), P(1, 0), P(2, 0), P(0, 1))
     # self-crossing order of a convex point set
-    assert not is_strictly_convex_quad(P(0, 0), P(1, 0), P(0, 1), P(1, 1))
+    assert not strictly_convex_quad(P(0, 0), P(1, 0), P(0, 1), P(1, 1))
 
 
 def test_convex_quad_rotation_and_reversal_invariance():
     rng = random.Random(4)
     for _ in range(500):
         quad = [rand_point(rng) for _ in range(4)]
-        base = is_strictly_convex_quad(*quad)
+        base = strictly_convex_quad(*quad)
         for shift in range(4):
             rotated = quad[shift:] + quad[:shift]
-            assert is_strictly_convex_quad(*rotated) == base
-            assert is_strictly_convex_quad(*rotated[::-1]) == base
+            assert strictly_convex_quad(*rotated) == base
+            assert strictly_convex_quad(*rotated[::-1]) == base
 
 
 def test_convex_hull_strict_and_ccw():

@@ -12,6 +12,7 @@ from conftest import (
     random_pair,
     random_walk,
     share_triangle,
+    strictly_convex_quad,
 )
 from flipdist import (
     InadmissibleFlip,
@@ -89,15 +90,15 @@ def test_build_accepts_collinear_boundary_points():
     assert len(tri.edges()) == 5
 
 
-@pytest.mark.parametrize(
-    "coords",
-    [
-        [(0, 0), (4, 0), (6, 3), (4, 6), (0, 6), (-2, 3)],  # convex hexagon
-        [(0, 0), (6, 0), (7, 4), (3, 7), (-1, 4), (3, 3)],  # five-point hull, one inside
-        [(0, 0), (1, 0), (2, 0), (3, 0), (1, 2), (2, 1)],  # collinear hull sides
-        [(0, 0), (2, 0), (1, 0), (1, 2)],
-    ],
-)
+SMALL_POINT_SETS = [
+    [(0, 0), (4, 0), (6, 3), (4, 6), (0, 6), (-2, 3)],  # convex hexagon
+    [(0, 0), (6, 0), (7, 4), (3, 7), (-1, 4), (3, 3)],  # five-point hull, one inside
+    [(0, 0), (1, 0), (2, 0), (3, 0), (1, 2), (2, 1)],  # collinear hull sides
+    [(0, 0), (2, 0), (1, 0), (1, 2)],
+]
+
+
+@pytest.mark.parametrize("coords", SMALL_POINT_SETS)
 def test_build_accepts_exactly_the_triangulations(coords):
     # every set of expected_triangles triangles drawn from all C(n, 3)
     # builds iff it is a triangulation, as enumerated by flips from a seed
@@ -257,6 +258,44 @@ def test_flip_preview_matches_apply_flip():
                         assert tri.flip_preview(e) == (created, flipped.edge_mask)
                         assert changed_edges(flipped, tri) == {created}
                         assert flipped.edge_mask == _mask_of(flipped)
+
+
+def _preview_verdicts(tri: Triangulation) -> list[bool]:
+    """For each interior edge uv with apexes c, d: flip_preview refuses it
+    exactly when the four-turn reference rejects (u, c, v, d); returns the
+    reference's verdicts."""
+    pts = tri.ps.points
+    verdicts = []
+    for e in tri.edges():
+        if e in tri.ps.boundary_edges:
+            continue
+        u, v = e
+        c, d = sorted({w for side in tri.edges_sharing_triangle(e) for w in side} - {u, v})
+        convex = strictly_convex_quad(pts[u], pts[c], pts[v], pts[d])
+        assert (tri.flip_preview(e) is not None) == convex, (e, c, d)
+        verdicts.append(convex)
+    return verdicts
+
+
+@pytest.mark.parametrize("coords", SMALL_POINT_SETS)
+def test_flip_preview_is_the_four_turn_test_on_every_triangulation(coords):
+    # flip_preview's two cross products stand for the four turns of the
+    # quadrilateral on every interior edge of every triangulation
+    seed = Triangulation.build(PointSet(coords), scan_triangulation(coords))
+    for tri in enumerate_triangulations(seed):
+        assert _preview_verdicts(tri)  # each of these has an interior edge
+
+
+def test_flip_preview_is_the_four_turn_test_on_random_walks():
+    rng = random.Random(18)
+    verdicts = []
+    for n in range(4, 10):
+        for hull in ("random", "convex"):
+            for seed in range(3):
+                start, _ = generate_instance(n, hull, 0, 1800 + 10 * n + seed).triangulations()
+                for tri, _ in random_walk(start, 10, rng):
+                    verdicts += _preview_verdicts(tri)
+    assert True in verdicts and False in verdicts
 
 
 def test_edges_sharing_triangle_square(square):
