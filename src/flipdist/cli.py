@@ -238,49 +238,58 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if disagreed == 0 else EXIT_REJECT
 
 
-def build_parser() -> argparse.ArgumentParser:
+# (name, help, options, handler): each option is (flag, add_argument keywords)
+COMMANDS = (
+    ("validate", "parse and validate an instance file", (("file", {}),), cmd_validate),
+    ("gen", "generate a random instance on stdout", (
+        ("--n", dict(type=int, required=True, help="number of points")),
+        ("--hull", dict(choices=("random", "convex"), default="random")),
+        ("--scramble", dict(type=int, default=0, help="random flips applied to the final copy")),
+        ("--seed", dict(type=int, default=None)),
+    ), cmd_gen),
+    ("distance", "compute/decide flip distance, JSON record on stdout", (
+        ("file", {}),
+        ("--engine", dict(choices=("oracle", "fpt", "both"), default="both")),
+        ("--cap", dict(type=int, default=DEFAULT_CAP, help="oracle depth cap")),
+        ("--k", dict(type=int, default=None, help="override the instance k")),
+    ), cmd_distance),
+    ("dag", "dependency DAG of a flip sequence on the initial triangulation", (
+        ("file", {}),
+        ("--flips", dict(default="", help="comma list of edges, e.g. 0-2,1-3")),
+    ), cmd_dag),
+    ("bench", "random instances: oracle vs decision procedure", (
+        ("--n", dict(default="5,6,7", help="comma list of point counts")),
+        ("--scramble", dict(type=int, default=3)),
+        ("--trials", dict(type=int, default=5, help="instances per point count")),
+        ("--seed", dict(type=int, default=0)),
+        ("--cap", dict(type=int, default=DEFAULT_CAP)),
+        ("--jobs", dict(type=int, default=1)),
+    ), cmd_bench),
+)
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for an argv whose first token is `command`: every subcommand
+    is listed, as the top-level help and errors name them all, but only
+    `command`'s options are registered, since no other subcommand can run."""
     parser = argparse.ArgumentParser(
         prog="flipdist",
         description="Flip distance between triangulations of a planar point set.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and validate an instance file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("gen", help="generate a random instance on stdout")
-    p.add_argument("--n", type=int, required=True, help="number of points")
-    p.add_argument("--hull", choices=("random", "convex"), default="random")
-    p.add_argument("--scramble", type=int, default=0, help="random flips applied to the final copy")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("distance", help="compute/decide flip distance, JSON record on stdout")
-    p.add_argument("file")
-    p.add_argument("--engine", choices=("oracle", "fpt", "both"), default="both")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle depth cap")
-    p.add_argument("--k", type=int, default=None, help="override the instance k")
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("dag", help="dependency DAG of a flip sequence on the initial triangulation")
-    p.add_argument("file")
-    p.add_argument("--flips", default="", help="comma list of edges, e.g. 0-2,1-3")
-    p.set_defaults(func=cmd_dag)
-
-    p = sub.add_parser("bench", help="random instances: oracle vs decision procedure")
-    p.add_argument("--n", default="5,6,7", help="comma list of point counts")
-    p.add_argument("--scramble", type=int, default=3)
-    p.add_argument("--trials", type=int, default=5, help="instances per point count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_bench)
+    for name, text, options, handler in COMMANDS:
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (

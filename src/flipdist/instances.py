@@ -176,6 +176,11 @@ def _general_position(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool
 
 def _random_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int]]:
     """n points in general position: 500 tries per point, then start over."""
+    # each of the span + 1 grid columns holds at most two points, as three
+    # would be collinear; above that, no number of draws can succeed
+    if n > 2 * (span + 1):
+        raise GenerationError(f"cannot place {n} points in general position (span {span}): "
+                              f"at most {2 * (span + 1)} fit")
     for _ in range(2000):
         pts: list[tuple[int, int]] = []
         placed: set[tuple[int, int]] = set()

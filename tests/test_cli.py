@@ -1,6 +1,9 @@
+import argparse
 import concurrent.futures
 import json
 import os
+import sys
+import time
 
 import pytest
 
@@ -43,6 +46,23 @@ final 3
 """
 
 
+COMMAND_HELP = {
+    "validate": "parse and validate an instance file",
+    "gen": "generate a random instance on stdout",
+    "distance": "compute/decide flip distance, JSON record on stdout",
+    "dag": "dependency DAG of a flip sequence on the initial triangulation",
+    "bench": "random instances: oracle vs decision procedure",
+}
+
+COMMAND_OPTIONS = {
+    "validate": ["file"],
+    "gen": ["--n", "--hull", "--scramble", "--seed"],
+    "distance": ["file", "--engine", "--cap", "--k"],
+    "dag": ["file", "--flips"],
+    "bench": ["--n", "--scramble", "--trials", "--seed", "--cap", "--jobs"],
+}
+
+
 @pytest.fixture
 def square_file(tmp_path):
     path = tmp_path / "square.txt"
@@ -55,6 +75,47 @@ def pentagon_file(tmp_path):
     path = tmp_path / "pentagon.txt"
     path.write_text(PENTAGON_TEXT)
     return str(path)
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo the help's line wrapping
+    assert "{validate,gen,distance,dag,bench}" in text
+    for command, help_text in COMMAND_HELP.items():
+        assert f"{command} {help_text}" in text
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_command_help_lists_its_options(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: flipdist {command} [-h]")
+    for option in COMMAND_OPTIONS[command]:
+        assert f" {option}" in out
+
+
+def test_only_the_invoked_command_gets_options(square_file, monkeypatch, capsys):
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counting(self, *flags, **kwargs):
+        added.append(flags[0])
+        return real(self, *flags, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["validate", square_file]) == 0
+    # one -h for the top level and one per subcommand, then validate's file
+    assert sorted(added) == ["-h"] * 6 + ["file"]
+
+
+def test_console_script_reads_sys_argv(square_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["flipdist", "validate", square_file])
+    assert main() == 0
+    assert capsys.readouterr().out == "ok: n=4 h=4 triangles=2 k=1\n"
 
 
 def test_validate_ok(square_file, capsys):
@@ -92,6 +153,18 @@ def test_gen_deterministic_and_parses(capsys):
 def test_gen_rejects_tiny_n(capsys):
     assert main(["gen", "--n", "2", "--seed", "1"]) == 2
     assert "flipdist:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gen", "--seed", "1"], ["bench", "--trials", "1"]])
+def test_impossible_size_fails_fast(argv, capsys):
+    # the default span holds at most 2002 points in general position
+    started = time.perf_counter()
+    assert main(argv + ["--n", "3000"]) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("flipdist: cannot place 3000 points")
+    assert "at most 2002 fit" in captured.err
 
 
 def test_distance_oracle(square_file, capsys):

@@ -154,6 +154,15 @@ def test_generate_more_than_500_points():
     assert len(t0.ps) == 501 and t0.ps.hull_size >= 3
 
 
+def test_generate_random_size_limit_is_two_per_grid_column():
+    # span 1 is a 2x2 grid: its four corners are in general position, a fifth
+    # point would be collinear with two, so it is refused before any draw
+    inst = generate_instance(4, "random", 0, 1, span=1)
+    assert sorted(inst.points) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(GenerationError, match=r"\(span 1\): at most 4 fit"):
+        generate_instance(5, "random", 0, 1, span=1)
+
+
 def test_generate_rejects_bad_parameters():
     with pytest.raises(GenerationError):
         generate_instance(2, "random", 0, 1)
