@@ -16,10 +16,10 @@ stack of edges, flips done, actions done), and the five action kinds are
 The move-bearing kinds offer at most 4 targets each and the jump kinds
 at most 1, so no state ever has more than 14 legal actions.  _steps is
 the single statement of these semantics, as at most five step groups
-per state (one per kind; its steps differ only in the target edge): the
-search judges each group once, and legal_actions expands the groups for
-callers that inspect one state.  _steps never flips; the search builds
-a flipped triangulation only for a successor it keeps.
+per state (one per kind; its steps differ only in the target edge).
+The search judges a state's flip once and each group's budget once;
+legal_actions expands the groups for callers that inspect one state.
+_steps never flips; the search builds a flip only for a kept successor.
 
 A full run splits k into a composition (k_1, .., k_t); iteration l
 starts at the next not-yet-restored edge of the initial triangulation
@@ -173,20 +173,21 @@ def _node_search(
     visits loses no outcome.
 
     The search is one of a run that must reach `goal_mask` with `rest`
-    flips left from the root, and any successor (outcomes included) with
-    more target-absent edges than the flips left to it, `rest - flips
-    done`, is dropped before dedup.  Sound: a flip removes exactly one
-    edge, so each flip lowers the count of target-absent edges by at most
-    one, and the run must bring it to zero.  The count depends only on
-    the edge mask, which is in the dedup key, so a key is cut on every
-    visit or on none and the fewest-actions-first argument above still
-    holds.  A goal_mask of -1 has no absent edge and cuts nothing.
+    flips left from the root, and any flip successor (outcomes included)
+    with more target-absent edges than the flips left to it, `rest -
+    flips done`, is dropped before dedup.  Sound: a flip removes exactly
+    one edge, so each flip lowers the count of target-absent edges by at
+    most one, and the run must bring it to zero.  The count depends only
+    on the edge mask, which is in the dedup key, so a key is cut on every
+    visit or on none and the fewest-actions-first argument above holds.
+    A move keeps the mask and the flips left, so it is never judged: a
+    queued state passed the cut, and from a root that fails it no flip
+    passes.  A goal_mask of -1 has no absent edge and cuts nothing.
 
-    The cut, the outcome check and the action budget read only the flip
-    count and the mask, so they run once per step group (a cut group
-    counts one cut per target); a state's flip is built at most once.
-    SearchBudgetExceeded is raised once stats.states_expanded passes
-    `limit`.
+    All flip groups of a state make its one flip, so the cut and then the
+    outcome check judge it once (one cut per flip target), and it is built
+    at most once; the action budget runs per step group.
+    SearchBudgetExceeded is raised once stats.states_expanded passes `limit`.
     """
     absent = ~goal_mask
     # states are (triangulation, edge, stack, flips done, actions done)
@@ -206,17 +207,16 @@ def _node_search(
         if stats.states_expanded > limit:
             raise SearchBudgetExceeded("FPT search exceeded its node budget")
         acts += 1  # every step costs one action
+        f = flips + 1
+        if created is not None and (flip_mask & absent).bit_count() > rest - f:
+            stats.lower_bound_cuts += branching - len(groups[0][1])
+            del groups[1:]  # keep only the moves
+        elif created is not None and acts <= 2 * f and flip_mask not in emitted[f]:
+            emitted[f].add(flip_mask)
+            flipped = cur.apply_flip(at)[0]
+            yield f, flipped
         for kind, targets, stk in groups:
             f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
-            if (m & absent).bit_count() > rest - f:
-                stats.lower_bound_cuts += len(targets)
-                continue
-            # every flip group of a state reaches its one flip successor
-            if kind != MOVE and acts <= 2 * f and m not in emitted[f]:
-                emitted[f].add(m)
-                if flipped is None:
-                    flipped = cur.apply_flip(at)[0]
-                yield f, flipped
             # no part needs more flips, or too few actions are left (one per flip)
             if f == rest or acts > rest + f:
                 continue

@@ -49,29 +49,6 @@ class Instance:
         return Triangulation.build(ps, self.initial), Triangulation.build(ps, self.final)
 
 
-class _Lines:
-    """Non-blank lines of the file with their 1-based numbers."""
-
-    def __init__(self, text: str):
-        self.items = [
-            (no, line.strip())
-            for no, line in enumerate(text.splitlines(), start=1)
-            if line.strip()
-        ]
-        self.pos = 0
-        self.last_no = self.items[-1][0] if self.items else 0
-
-    def next(self, what: str) -> tuple[int, str]:
-        if self.pos >= len(self.items):
-            raise InstanceFormatError(self.last_no + 1, f"unexpected end of file, expected {what}")
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
-
-    def peek(self) -> tuple[int, str] | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-
 def _ints(no: int, line: str, count: int, what: str) -> list[int]:
     parts = line.split()
     if len(parts) != count:
@@ -82,58 +59,56 @@ def _ints(no: int, line: str, count: int, what: str) -> list[int]:
         raise InstanceFormatError(no, f"non-integer field in {what}: {line!r}") from None
 
 
-def _counted(lines: _Lines, keyword: str) -> int:
-    no, line = lines.next(f"'{keyword} N'")
+def _keyword_int(no: int, line: str, expected: str, noun: str) -> int:
+    """N of a `keyword N` line, where `expected` opens with "'keyword ";
+    the caller checks the sign of N."""
     parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise InstanceFormatError(no, f"expected '{keyword} N', got {line!r}")
+    if len(parts) != 2 or not expected.startswith(f"'{parts[0]} "):
+        raise InstanceFormatError(no, f"expected {expected}, got {line!r}")
     try:
-        n = int(parts[1])
+        return int(parts[1])
     except ValueError:
-        raise InstanceFormatError(no, f"non-integer count in {line!r}") from None
-    if n < 0:
-        raise InstanceFormatError(no, f"negative count in {line!r}")
-    return n
+        raise InstanceFormatError(no, f"non-integer {noun} in {line!r}") from None
 
 
 def parse_instance(text: str) -> Instance:
     """Parse the flat format; InstanceFormatError carries the offending line."""
-    lines = _Lines(text)
-    no, line = lines.next("header")
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = iter([(no, s) for no, line in numbered if (s := line.strip())])
+    last = 0  # number of the last line taken
+
+    def take(what: str) -> tuple[int, str]:
+        nonlocal last
+        for last, line in lines:
+            return last, line
+        raise InstanceFormatError(last + 1, f"unexpected end of file, expected {what}")
+
+    def rows(keyword: str, what: str, fields: int, noun: str) -> list[tuple[int, ...]]:
+        expected = f"'{keyword} N'"
+        no, line = take(expected)
+        count = _keyword_int(no, line, expected, "count")
+        if count < 0:
+            raise InstanceFormatError(no, f"negative count in {line!r}")
+        out = []
+        for _ in range(count):
+            no, line = take(what)
+            out.append(tuple(_ints(no, line, fields, noun)))
+        return out
+
+    no, line = take("header")
     if line != HEADER:
         raise InstanceFormatError(no, f"expected header {HEADER!r}, got {line!r}")
-    n = _counted(lines, "points")
-    points = []
-    for _ in range(n):
-        no, line = lines.next("a coordinate line")
-        x, y = _ints(no, line, 2, "a point")
-        points.append((x, y))
-    tris: dict[str, list[Triangle]] = {}
-    for section in ("initial", "final"):
-        m = _counted(lines, section)
-        rows = []
-        for _ in range(m):
-            no, line = lines.next("a triangle line")
-            a, b, c = _ints(no, line, 3, "a triangle")
-            rows.append((a, b, c))
-        tris[section] = rows
+    points = rows("points", "a coordinate line", 2, "a point")
+    initial = rows("initial", "a triangle line", 3, "a triangle")
+    final = rows("final", "a triangle line", 3, "a triangle")
     k = None
-    tail = lines.peek()
-    if tail is not None:
-        no, line = lines.next("'k K' or end of file")
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != "k":
-            raise InstanceFormatError(no, f"expected 'k K' or end of file, got {line!r}")
-        try:
-            k = int(parts[1])
-        except ValueError:
-            raise InstanceFormatError(no, f"non-integer k in {line!r}") from None
+    for no, line in lines:
+        if k is not None:
+            raise InstanceFormatError(no, f"trailing content: {line!r}")
+        k = _keyword_int(no, line, "'k K' or end of file", "k")
         if k < 0:
             raise InstanceFormatError(no, "k must be nonnegative")
-        extra = lines.peek()
-        if extra is not None:
-            raise InstanceFormatError(extra[0], f"trailing content: {extra[1]!r}")
-    return Instance(points, tris["initial"], tris["final"], k)
+    return Instance(points, initial, final, k)
 
 
 def render_instance(inst: Instance) -> str:
@@ -170,18 +145,22 @@ def _general_position(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool
     for x, y in pts:
         dx, dy = x - cx, y - cy
         g = math.gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -math.gcd(dx, dy)
-        dirs.add((dx // g, dy // g))
-    return len(dirs) == len(pts)
+        d = (dx // g, dy // g)
+        if d in dirs:
+            return False
+        dirs.add(d)
+    return True
 
 
 def _random_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int]]:
-    """n points in general position: 500 tries per point, then start over."""
+    """n points in general position: 500 tries per point, then start over,
+    at most 10 passes in all."""
     # each of the span + 1 grid columns holds at most two points, as three
     # would be collinear; above that, no number of draws can succeed
     if n > 2 * (span + 1):
         raise GenerationError(f"cannot place {n} points in general position (span {span}): "
                               f"at most {2 * (span + 1)} fit")
-    for _ in range(2000):
+    for _ in range(10):
         pts: list[tuple[int, int]] = []
         placed: set[tuple[int, int]] = set()
         while len(pts) < n:

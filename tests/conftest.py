@@ -24,7 +24,7 @@ from flipdist import (
     fpt_solver,
     generate_instance,
 )
-from flipdist.geometry import cross
+from flipdist.geometry import convex_hull, cross
 from flipdist.oracle import _bfs
 
 SQUARE_POINTS = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -222,6 +222,33 @@ def convex_slack_strata(n: int) -> tuple[Triangulation, list[tuple[int, int, Tri
         d = depth[goal.edge_mask]
         strata.append((d - (start.edge_mask & ~goal.edge_mask).bit_count(), d, goal))
     return start, strata
+
+
+def _hull_cycle_from_zero(points: Sequence[Point]) -> list[int]:
+    """Ids of the hull corners in ccw order, starting at vertex 0."""
+    cycle = [p.id for p in convex_hull(points)]
+    i = cycle.index(0)
+    return cycle[i:] + cycle[:i]
+
+
+def convex_gadget(n: int) -> tuple[Triangulation, Triangulation]:
+    """The n-scaling gadget: the last (slack 3, distance 10) pair of
+    convex_slack_strata(10), relabelled by hull position from vertex 0
+    and placed on the first ten hull corners, counted from vertex 0, of
+    generate_instance(n, "convex", 0, 1, span=10**6); the rest of that
+    n-gon is fanned from the first of the ten.  Its distance is 10 at
+    every n >= 10."""
+    start, strata = convex_slack_strata(10)
+    goal = [g for slack, d, g in strata if (slack, d) == (3, 10)][-1]
+    ps = PointSet(generate_instance(n, "convex", 0, 1, span=10**6).points)
+    order = _hull_cycle_from_zero(ps.points)
+    place = dict(zip(_hull_cycle_from_zero(start.ps.points), order))
+    fan = [(order[0], order[i], order[i + 1]) for i in range(9, n - 1)]
+
+    def placed(tri: Triangulation) -> Triangulation:
+        return Triangulation.build(ps, [tuple(place[v] for v in t) for t in tri.triangles] + fan)
+
+    return placed(start), placed(goal)
 
 
 def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:

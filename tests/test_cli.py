@@ -376,6 +376,23 @@ def test_bench_bad_size_list(capsys):
     assert "bad --n list" in capsys.readouterr().err
 
 
+def test_bench_empty_size_list(capsys):
+    assert main(["bench", "--n", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bench: empty --n list" in captured.err
+
+
+def test_bench_cap_below_every_distance_skips_every_row(capsys):
+    assert main(["bench", "--cap", "0", "--scramble", "3"]) == 0
+    captured = capsys.readouterr()
+    rows = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(rows) == 15
+    for row in rows:
+        assert row["skipped"] is True and row["distance"] is None and row["agree"] is None
+    assert "bench: rows=15 agreed=0 disagreed=0 skipped=15" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--trials"])
 def test_bench_rejects_negative_counts(flag, capsys):
     assert main(["bench", "--n", "5", flag, "-1"]) == 2

@@ -5,6 +5,7 @@ from dataclasses import astuple
 import pytest
 
 from conftest import (
+    convex_gadget,
     convex_slack_strata,
     count_builds,
     iteration_outcomes,
@@ -430,6 +431,15 @@ def test_fpt_distance_matches_oracle_on_larger_pair():
     stats = SolverStats()
     assert fpt_distance(a, b, d, stats=stats) == d
     assert stats.lower_bound_cuts > 0
+
+
+def test_fpt_distance_on_the_convex_gadget_at_n_50():
+    # the slack-3 10-gon pair inside a 50-gon pins the engine above
+    # n = 14; the n = 200 and 400 gadgets expand the same states and cuts
+    a, b = convex_gadget(50)
+    stats = SolverStats()
+    assert fpt_distance(a, b, 12, stats) == 10
+    assert (stats.states_expanded, stats.lower_bound_cuts) == (79_990, 347_944)
 
 
 def test_fpt_distance_cap_and_bounds():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -73,6 +74,21 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(InstanceFormatError, match=fragment) as err:
             parse_instance(text)
         assert err.value.line == line, text
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("flipdist v1\npoints 1\n0 0\nfinal 1\n", 4, "expected 'initial N', got 'final 1'"),
+        ("flipdist v1\npoints -1\n", 2, "negative count in 'points -1'"),
+        (SQUARE_TEXT.replace("k 1", "k x"), 13, "non-integer k in 'k x'"),
+    ],
+)
+def test_parse_errors_on_count_and_k_lines(text, line, message):
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
 
 
 def test_parse_then_build_reports_validation_error():
@@ -161,6 +177,15 @@ def test_generate_random_size_limit_is_two_per_grid_column():
     assert sorted(inst.points) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     with pytest.raises(GenerationError, match=r"\(span 1\): at most 4 fit"):
         generate_instance(5, "random", 0, 1, span=1)
+
+
+def test_generate_random_gives_up_after_ten_passes():
+    # at span 20 a pass places about 30 points in general position, far
+    # below the 42 the size limit allows, so every pass fails
+    started = time.perf_counter()
+    with pytest.raises(GenerationError, match=r"could not place 40 points in general position \(span 20\)"):
+        generate_instance(40, "random", 0, 1, span=20)
+    assert time.perf_counter() - started < 1
 
 
 def test_generate_rejects_bad_parameters():

@@ -77,6 +77,18 @@ def test_build_rejects_non_integer_coordinates():
         Triangulation.build(SQUARE_POINTS, [(0, 1, 2.7), (0, 2, 3)])
 
 
+def test_point_set_rejects_out_of_range_coordinates_and_too_few_points():
+    with pytest.raises(InvalidTriangulation, match=r"out of 32-bit range at point 1: \(2147483648, 0\)"):
+        PointSet([(0, 0), (2**31, 0), (0, 1)])
+    with pytest.raises(InvalidTriangulation, match="need at least 3 points"):
+        PointSet([(0, 0), (1, 0)])
+
+
+def test_build_rejects_a_triangle_of_two_ids():
+    with pytest.raises(InvalidTriangulation, match=r"triangle needs 3 vertices, got \(0, 1\)"):
+        Triangulation.build(SQUARE_POINTS, [(0, 1), (0, 2, 3)])
+
+
 def test_build_rejects_all_collinear():
     with pytest.raises(InvalidTriangulation, match="collinear"):
         Triangulation.build([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
