@@ -271,14 +271,15 @@ COMMANDS = (
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser for an argv whose first token is `command`: every subcommand
     is listed, as the top-level help and errors name them all, but only
-    `command`'s options are registered, since no other subcommand can run."""
+    `command`'s options, its -h included, are registered, since no other
+    subcommand can run."""
     parser = argparse.ArgumentParser(
         prog="flipdist",
         description="Flip distance between triangulations of a planar point set.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text, options, handler in COMMANDS:
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, add_help=name == command)
         if name == command:
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)

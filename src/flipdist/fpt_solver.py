@@ -211,10 +211,15 @@ def _node_search(
         if created is not None and (flip_mask & absent).bit_count() > rest - f:
             stats.lower_bound_cuts += branching - len(groups[0][1])
             del groups[1:]  # keep only the moves
-        elif created is not None and acts <= 2 * f and flip_mask not in emitted[f]:
-            emitted[f].add(flip_mask)
-            flipped = cur.apply_flip(at)[0]
-            yield f, flipped
+        elif created is not None and acts <= 2 * f:
+            # one add and a size compare hash the mask once, where `in`
+            # followed by `add` hashes it twice
+            found = emitted[f]
+            size = len(found)
+            found.add(flip_mask)
+            if len(found) > size:
+                flipped = cur.apply_flip(at)[0]
+                yield f, flipped
         for kind, targets, stk in groups:
             f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
             # no part needs more flips, or too few actions are left (one per flip)
@@ -222,10 +227,10 @@ def _node_search(
                 continue
             t2 = cur if kind == MOVE else flipped
             for e in targets:
-                key = (m, e, stk, f)
-                if key in seen:
+                size = len(seen)
+                seen.add((m, e, stk, f))
+                if len(seen) == size:
                     continue
-                seen.add(key)
                 if t2 is None:
                     t2 = flipped = cur.apply_flip(at)[0]
                 queue.append((t2, e, stk, f, acts))

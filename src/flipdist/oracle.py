@@ -3,12 +3,14 @@
 Only meant for small point sets; everything here walks the implicit
 graph whose vertices are triangulations and whose edges are single
 admissible flips, deduplicating states by their edge-set fingerprint.
-Each successor is judged on the edge mask Triangulation.flips() gives
-it (O(1)); only the successors a search keeps are built, which costs
-O(n) each.  bfs_distance, the geodesic labels and enumerate_triangulations
-come from one breadth-first walk, _bfs; astar_distance is a best-first
-search guided by the count of goal-absent edges, and bfs_distance is its
-reference.  Every search raises SearchBudgetExceeded past NODE_BUDGET.
+Each successor is judged on the edge mask flip_preview gives it (O(1));
+only the successors a search keeps are built, which costs O(n) each.
+bfs_distance, the geodesic labels and enumerate_triangulations come from
+one breadth-first walk, _bfs, over Triangulation.flips(); astar_distance
+is a best-first search guided by the count of goal-absent edges, which
+previews a state's goal edges only when the search reaches the priority
+their flips give (partial expansion), and bfs_distance is its reference.
+Every search raises SearchBudgetExceeded past NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .flip_dag import FlipSequence, apply_sequence
-from .triangulation import Edge, Triangulation, ensure_same_points
+from .triangulation import Edge, Triangulation, changed_edges, ensure_same_points
 
 DEFAULT_CAP = 10
 # read at call time, so it can be lowered for a test
@@ -106,53 +108,76 @@ def astar_distance(
     its distance (Hart, Nilsson and Raphael 1968).  Within a bucket the
     last state queued goes first, so deeper states are tried first.
 
-    Every path through a state costs at least its f, so a successor with
-    f > cap is dropped, and None still means "distance exceeds cap".  The
-    buckets grow with the f values actually reached (at most h(start) + 2g),
-    never with `cap`.
+    Successors are generated by operator class, as in Enhanced Partial
+    Expansion A* (Felner et al., AAAI 2012; Goldenberg et al., JAIR 2014).
+    Flipping a goal-absent edge changes f by 0 or 1 (the created diagonal
+    is in the goal or not); flipping a goal edge changes it by exactly 2,
+    since the created diagonal crosses that edge and so is not in the
+    goal.  A state's first pop, at f, flips only its goal-absent edges,
+    found by comparing its edges with the goal's and never previewing a
+    goal edge; the state is then queued once more at f + 2, and only that
+    late pop flips its goal edges.  So every successor of f' <= F exists
+    before any bucket above F is popped, the same f-layers are expanded as
+    by plain A*, and the first goal popped is still at its distance.  Both
+    pops take edges in canonical order, so the counts are deterministic.
 
-    An open state is kept as (g, mask, parent, flipped edge) and built only
-    when popped; successors are judged on the masks flips() gives.  A
-    best-g map keyed by mask drops a successor whose g is no better and a
-    stale pop.  Same contract as bfs_distance: raises SearchBudgetExceeded
-    once more than NODE_BUDGET distinct triangulations have been
-    generated, and adds their count to `stats.nodes_visited`.
+    Every path through a state costs at least its f, so a successor with
+    f > cap is dropped, as is a late pop past cap, and None still means
+    "distance exceeds cap".  The buckets grow with the f values actually
+    reached (at most h(start) + 2g), never with `cap`.
+
+    An open state is kept as (g, mask, parent, flipped edge, late) and
+    built only when popped, its late pop too; successors are judged on
+    the masks flip_preview gives.  A best-g map keyed by mask drops a
+    successor whose g is no better and a stale pop.  Same contract as
+    bfs_distance: raises SearchBudgetExceeded once more than NODE_BUDGET
+    distinct triangulations have been generated, and adds their count to
+    `stats.nodes_visited`.
     """
     ensure_same_points(start, goal)
     goal_mask = goal.edge_mask
-    absent = ~goal_mask
-    h0 = (start.edge_mask & absent).bit_count()
+    h0 = (start.edge_mask & ~goal_mask).bit_count()
     room = cap - h0  # the largest bucket index a successor may take
     best = {start.edge_mask: 0}
     # buckets[i] holds the open states of f = h0 + i; f never decreases,
     # so the scan over i never goes back
-    buckets = [[(0, start.edge_mask, None, None)]]
+    buckets = [[(0, start.edge_mask, None, None, False)]]
     depth = None
     i = 0
     while i < len(buckets):
         if not buckets[i]:
             i += 1
             continue
-        g, m, parent, e = buckets[i].pop()
+        g, m, parent, e, late = buckets[i].pop()
         if g > best[m]:
             continue  # queued again later with a smaller g
         if m == goal_mask:
             depth = g
             break
         tri = start if parent is None else parent.apply_flip(e)[0]
+        if late:
+            edges = [e2 for e2 in tri.edges() if e2 in goal]
+        else:
+            edges = sorted(changed_edges(tri, goal))
+            # successors go to f or f + 1, the late pop to f + 2
+            while len(buckets) <= min(i + 2, room):
+                buckets.append([])
+            if i + 2 <= room:
+                buckets[i + 2].append((g, m, parent, e, True))
         g += 1
-        for e2, m2 in tri.flips():
-            if best.get(m2, g + 1) <= g:
+        for e2 in edges:
+            flip = tri.flip_preview(e2)
+            if flip is None:
                 continue
-            i2 = g + (m2 & absent).bit_count() - h0
-            if i2 > room:
+            created, m2 = flip
+            # a late pop sits at f + 2 already
+            i2 = i if late else i + (created not in goal)
+            if i2 > room or best.get(m2, g + 1) <= g:
                 continue
             best[m2] = g
             if len(best) > NODE_BUDGET:
                 raise SearchBudgetExceeded(f"flip-graph A* exceeded {NODE_BUDGET} triangulations")
-            while len(buckets) <= i2:
-                buckets.append([])
-            buckets[i2].append((g, m2, tri, e2))
+            buckets[i2].append((g, m2, tri, e2, False))
     if stats:
         stats.nodes_visited += len(best)
     return depth

@@ -108,8 +108,26 @@ def test_only_the_invoked_command_gets_options(square_file, monkeypatch, capsys)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     assert main(["validate", square_file]) == 0
-    # one -h for the top level and one per subcommand, then validate's file
-    assert sorted(added) == ["-h"] * 6 + ["file"]
+    # one -h for the top level and one for validate, then validate's file
+    assert sorted(added) == ["-h"] * 2 + ["file"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["gen", "--n", "x"],
+    ["distance", "f", "--engine", "x"],
+    ["dag", "f", "--flips"],
+    ["bench", "--jobs", "x"],
+], ids=lambda argv: argv[0])
+def test_bad_option_shows_the_command_usage(argv, capsys):
+    # the invoked command keeps its -h, so its usage line still shows it
+    command = argv[0]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: flipdist {command} [-h]")
+    assert f"flipdist {command}: error: " in err
 
 
 def test_console_script_reads_sys_argv(square_file, monkeypatch, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import count_builds, random_pair
+from conftest import convex_gadget, count_builds, random_pair
 from flipdist import (
     SearchBudgetExceeded,
     astar_distance,
@@ -81,13 +81,13 @@ def test_node_budget_exceeded(fans, monkeypatch):
 
 # (search, the last node budget that raises, the result one above it).
 # bfs_distance, the geodesic labelling and enumerate_triangulations walk
-# the flip graph through _bfs, astar_distance through
-# Triangulation.flips(); bfs_distance finds its goal before the budget
-# check of the goal's own state, and astar_distance counts every state it
-# queues, the goal included.
+# the flip graph through _bfs; astar_distance previews only the edges of
+# the operator class a pop expands; bfs_distance finds its goal before the
+# budget check of the goal's own state, and astar_distance counts every
+# state it queues, the goal included.
 BUDGET_BOUNDARIES = [
     ("bfs_distance", 17, 4),
-    ("astar_distance", 11, 4),
+    ("astar_distance", 8, 4),
     ("enumerate_minimal_solutions", 19, 4),
     ("enumerate_triangulations", 13, 14),
 ]
@@ -164,8 +164,8 @@ ASTAR_VISITED = {
     (6, 4, 103): (7, 9),
     (6, 4, 132): (7, 9),
     (6, 4, 166): (6, 6),
-    (7, 4, 51): (12, 19),
-    (14, 8, 2): (57, 11534),
+    (7, 4, 51): (9, 19),
+    (14, 8, 2): (20, 11534),
 }
 
 
@@ -180,6 +180,17 @@ def test_astar_stats_count_generated_states(pair):
     # the counter accumulates across calls
     astar_distance(a, b, stats=astar)
     assert astar.nodes_visited == 2 * astar_visited
+
+
+def test_astar_partial_expansion_on_the_convex_gadget_at_n_50():
+    # no answer shows which pop flips goal edges, nor whether any does;
+    # the count does: 3,909 states when every pop flips every admissible
+    # edge, 3,044 when the first pop flips goal edges too, 228 with no
+    # late pop at all
+    a, b = convex_gadget(50)
+    stats = OracleStats()
+    assert astar_distance(a, b, cap=40, stats=stats) == 10
+    assert stats.nodes_visited == 2_029
 
 
 def test_minimal_solutions_distance_zero(square):
