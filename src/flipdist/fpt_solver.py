@@ -41,7 +41,9 @@ at k.
 The search remembers failed tree nodes and applies the changed-edge
 lower bound at the root and in every iteration: a triangulation with w
 edges absent from the target needs at least w more flips, so a branch
-with fewer flips left is cut (and counted in stats).
+with fewer flips left is cut (and counted in stats).  At the root, k = w
+is also cut unless some goal-absent edge has a happy flip, one that
+creates a target edge: with no slack, every flip of the run must be one.
 
 Every exists_solution_with_exactly_k_flips call expands at most
 NODE_BUDGET machine states and raises SearchBudgetExceeded past it;
@@ -93,6 +95,10 @@ class SolverStats:
     iterations_run counts the node searches run, one per composition-tree
     node that the failure memo does not answer.  compositions_tried
     counts the (part, outcome) pairs the tree recurses on.
+    lower_bound_cuts counts one per root cut (k below the changed-edge
+    count, or equal to it with no happy flip) and, inside the node
+    searches, one per flip successor dropped for having more goal-absent
+    edges than flips left.
     """
 
     states_expanded: int = 0
@@ -105,24 +111,26 @@ class SolverStats:
 
 def _steps(
     tri: Triangulation, at: Edge, stack: tuple[Edge, ...], created: Edge | None
-) -> Iterator[tuple[str, tuple[Edge, ...], tuple[Edge, ...]]]:
-    """Every legal step from (tri, at, stack) as at most five groups, one
-    per kind in kind order: (kind, target edges, stack after the step),
-    one step per target.  `created` is the diagonal a flip of `at`
-    creates, or None when `at` is not admissible.  Each step costs one
-    action; MOVE keeps tri and every other kind flips `at` once.
+) -> list[tuple[str, tuple[Edge, ...], tuple[Edge, ...]]]:
+    """Every legal step from (tri, at, stack) as a list of at most five
+    groups, one per kind in kind order: (kind, target edges, stack after
+    the step), one step per target.  `created` is the diagonal a flip of
+    `at` creates, or None when `at` is not admissible.  Each step costs
+    one action; MOVE keeps tri and every other kind flips `at` once.  The
+    first group is always MOVE; a list, not a generator, because the
+    search reads every group of every state it expands.
     """
     nbrs = tri.edges_sharing_triangle(at)
-    yield MOVE, nbrs, stack
-    if created is not None:
-        yield FLIP_MOVE, nbrs, stack
-        yield FLIP_PUSH_MOVE, nbrs, stack + (created,)
-        if stack:
-            top = stack[-1]
-            # present after the flip, which removes `at` and adds `created`
-            if top == created or (top != at and top in tri):
-                yield FLIP_JUMP, (top,), stack
-                yield FLIP_JUMP_POP, (top,), stack[:-1]
+    if created is None:
+        return [(MOVE, nbrs, stack)]
+    groups = [(MOVE, nbrs, stack), (FLIP_MOVE, nbrs, stack), (FLIP_PUSH_MOVE, nbrs, stack + (created,))]
+    if stack:
+        top = stack[-1]
+        # present after the flip, which removes `at` and adds `created`
+        if top == created or (top != at and top in tri):
+            groups.append((FLIP_JUMP, (top,), stack))
+            groups.append((FLIP_JUMP_POP, (top,), stack[:-1]))
+    return groups
 
 
 def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
@@ -198,12 +206,14 @@ def _node_search(
         cur, at, stack, flips, acts = queue.popleft()
         created, flip_mask = cur.flip_preview(at) or (None, None)
         flipped = None
-        # materialized so the counters are complete before any outcome is yielded
-        groups = list(_steps(cur, at, stack, created))
-        branching = sum(len(targets) for _, targets, _ in groups)
+        groups = _steps(cur, at, stack, created)
+        branching = 0
+        for group in groups:
+            branching += len(group[1])
         stats.states_expanded += 1
         stats.actions_generated += branching
-        stats.max_branching = max(stats.max_branching, branching)
+        if branching > stats.max_branching:
+            stats.max_branching = branching
         if stats.states_expanded > limit:
             raise SearchBudgetExceeded("FPT search exceeded its node budget")
         acts += 1  # every step costs one action
@@ -258,9 +268,18 @@ def exists_solution_with_exactly_k_flips(
 
     A root with 0 < k < |changed edges| is cut (each flip removes one
     edge, so it lowers the count of goal-absent edges by at most one;
-    k = 0 is left to the mask comparison).  No node below the root needs
-    that check: the node search that made it already dropped every
-    outcome with more goal-absent edges than the `rest` flips left.
+    k = 0 is left to the mask comparison).  So is a root with
+    0 < k = |changed edges| where no edge of `order` has a happy flip, an
+    admissible flip that creates a goal edge (the zero-slack cut).
+    Sound for every point set: a run of exactly k flips must lower the
+    count at every flip, so each of its flips removes a goal-absent edge
+    and creates a goal edge; moves never change the triangulation, so
+    the run's first flip is made on `start`, on a goal-absent edge of
+    `start`, which is an edge of `order`.  It costs at most |changed
+    edges| flip previews.  Either cut counts one lower_bound_cut and
+    expands no state.  No node below the root needs these checks: the
+    node search that made it already dropped every outcome with more
+    goal-absent edges than the `rest` flips left.
     Failed nodes are memoized on (rest, cursor, edge mask).
     The memo is sound because attempt's answer depends only on those
     three: over a fixed point set the mask determines the triangulation,
@@ -302,10 +321,16 @@ def exists_solution_with_exactly_k_flips(
         failed.add(key)
         return False
 
-    if 0 < k < len(order):
+    if 0 < k < len(order) or (0 < k == len(order) and not any(_happy(start, e, goal) for e in order)):
         stats.lower_bound_cuts += 1
         return False
     return attempt(start, 0, k)
+
+
+def _happy(tri: Triangulation, e: Edge, goal: Triangulation) -> bool:
+    """True iff e is admissible in tri and its flip creates a goal edge."""
+    preview = tri.flip_preview(e)
+    return preview is not None and preview[0] in goal
 
 
 def fpt_distance(
@@ -320,7 +345,9 @@ def fpt_distance(
     exists_solution_with_exactly_k_flips accepts.  Every flip removes one
     edge, and each changed edge has to go, so the distance d is at least
     k0.  Acceptance is sound for every k, so no k < d accepts, and
-    complete at k = d, so the first acceptance is at d.
+    complete at k = d, so the first acceptance is at d.  When no changed
+    edge has a happy flip, d > k0 and the k0 call is cut before it
+    expands a state.
 
     Each k tried may expand NODE_BUDGET states.
     """

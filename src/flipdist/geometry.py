@@ -29,11 +29,6 @@ def cross(p: Point, q: Point, r: Point) -> int:
     return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
 
 
-def triangle_area2(p: Point, q: Point, r: Point) -> int:
-    """Twice the unsigned area of triangle (p, q, r)."""
-    return abs(cross(p, q, r))
-
-
 def polygon_area2(ring: Sequence[Point]) -> int:
     """Twice the signed shoelace area of a polygon; positive for ccw order."""
     total = 0

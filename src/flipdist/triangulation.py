@@ -19,7 +19,6 @@ from .geometry import (
     cross,
     hull_boundary_chain,
     polygon_area2,
-    triangle_area2,
     COORD_LIMIT,
 )
 
@@ -170,11 +169,15 @@ class Triangulation:
         n = len(ps)
         pts = ps.points
 
-        tris: list[Triangle] = []
+        # pass 1, per triangle: its own checks, the apex lists, the used
+        # vertices and the area sum
         tri_seen: set[Triangle] = set()
+        opp: dict[Edge, list[int]] = {}
+        used: set[int] = set()
+        area2 = 0
         for raw in triangles:
             try:
-                ids = tuple(index(v) for v in raw)
+                ids = tuple(map(index, raw))
             except TypeError:
                 raise InvalidTriangulation(f"non-integer vertex id in triangle {raw!r}") from None
             if len(ids) != 3:
@@ -182,54 +185,58 @@ class Triangulation:
             for v in ids:
                 if not 0 <= v < n:
                     raise InvalidTriangulation(f"triangle {ids} references unknown point {v}")
-            if len(set(ids)) != 3:
-                raise InvalidTriangulation(f"degenerate triangle {ids}: repeated vertex")
             t = make_triangle(*ids)
-            if cross(pts[t[0]], pts[t[1]], pts[t[2]]) == 0:
+            a, b, c = t
+            if a == b or b == c:
+                raise InvalidTriangulation(f"degenerate triangle {ids}: repeated vertex")
+            turn = cross(pts[a], pts[b], pts[c])
+            if turn == 0:
                 raise InvalidTriangulation(f"degenerate triangle {t}: collinear points")
             if t in tri_seen:
                 raise InvalidTriangulation(f"duplicate triangle {t}")
             tri_seen.add(t)
-            tris.append(t)
-
-        if len(tris) != ps.expected_triangles:
-            raise InvalidTriangulation(
-                f"wrong counts: expected {ps.expected_triangles} triangles, got {len(tris)}"
-            )
-
-        opp: dict[Edge, list[int]] = {}
-        for t in tris:
-            a, b, c = t
             opp.setdefault((a, b), []).append(c)
             opp.setdefault((a, c), []).append(b)
             opp.setdefault((b, c), []).append(a)
+            used.update(t)
+            area2 += abs(turn)
+
+        if len(tri_seen) != ps.expected_triangles:
+            raise InvalidTriangulation(
+                f"wrong counts: expected {ps.expected_triangles} triangles, got {len(tri_seen)}"
+            )
+
+        # pass 2, per edge: incidence, opposite sides, the boundary, the
+        # sorted apexes and the mask
+        boundary: set[Edge] = set()
+        opp_sorted: dict[Edge, tuple[int, ...]] = {}
+        mask = 0
         for e, ws in opp.items():
             if len(ws) > 2:
                 raise InvalidTriangulation(f"bad edge incidence: edge {e} is in {len(ws)} triangles")
+            a, b = e
             if len(ws) == 2:
-                a, b = e
                 c, d = ws
                 # both crosses are nonzero: no triangle is degenerate
                 if (cross(pts[a], pts[b], pts[c]) > 0) == (cross(pts[a], pts[b], pts[d]) > 0):
                     raise InvalidTriangulation(
                         f"overlapping triangles {make_triangle(a, b, c)} and {make_triangle(a, b, d)}"
                     )
-        boundary = {e for e, ws in opp.items() if len(ws) == 1}
+                opp_sorted[e] = (c, d) if c < d else (d, c)
+            else:
+                boundary.add(e)
+                opp_sorted[e] = (ws[0],)
+            mask |= edge_bit(e)
+
         if boundary != ps.boundary_edges:
             raise InvalidTriangulation(
                 "bad edge incidence: boundary edges do not match the hull boundary"
             )
-        used = {v for t in tris for v in t}
         if len(used) != n:
             missing = sorted(set(range(n)) - used)
             raise InvalidTriangulation(f"point {missing[0]} is not used by any triangle")
-        if sum(triangle_area2(pts[a], pts[b], pts[c]) for a, b, c in tris) != ps.hull_area2:
+        if area2 != ps.hull_area2:
             raise InvalidTriangulation("triangle areas do not cover the hull")
-
-        opp_sorted = {e: tuple(sorted(ws)) for e, ws in opp.items()}
-        mask = 0
-        for e in opp_sorted:
-            mask |= edge_bit(e)
         return cls(ps, opp_sorted, mask)
 
     # -- queries ---------------------------------------------------------
@@ -269,7 +276,17 @@ class Triangulation:
         ws = self._opp.get(e)
         if ws is None:
             raise ValueError(f"edge {e} is not in the triangulation")
-        return tuple(sorted(make_edge(v, w) for v in e for w in ws))
+        u, v = e
+        if len(ws) == 1:
+            # u < v, so the side at u sorts first whatever the apex w
+            w = ws[0]
+            return (u, w) if u < w else (w, u), (v, w) if v < w else (w, v)
+        c, d = ws
+        # u < v and c < d: the smaller of u and c is the least vertex, and
+        # its two sides sort first
+        if u < c:
+            return (u, c), (u, d), (v, c) if v < c else (c, v), (v, d) if v < d else (d, v)
+        return (c, u), (c, v), (u, d) if u < d else (d, u), (v, d) if v < d else (d, v)
 
     # -- the flip --------------------------------------------------------
 

@@ -1,0 +1,108 @@
+"""Hand mutants of the FPT search rules, rerun against the tier-1 suite:
+three that no answer test catches, only pinned state counts (M4, M5,
+M11), and the zero-slack root cut stretched to k = |changed edges| + 1,
+where it is unsound.
+
+Run from the root of a checkout:
+
+    python tests/mutants.py
+
+For each mutant, src/ is copied to a temporary directory, one text
+substitution is applied to the copy, and the tier-1 suite runs against it
+(pytest's `pythonpath` pointed at the copy).  The script prints the tests
+each mutant fails and exits 1 if some mutant fails none (it survives), 2
+if the unmutated suite fails or a mutant's text is no longer in the
+source, and 0 when every mutant is killed.  pytest does not collect this file (no `test_` prefix), so the
+tier-1 command does not run it; it takes one suite run per mutant.
+"""
+
+from __future__ import annotations
+
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, what it breaks, file under src/flipdist, original text, mutant text)
+MUTANTS = [
+    (
+        "M4",
+        "the dedup key holds the stack's length, not the stack",
+        "fpt_solver.py",
+        "seen.add((m, e, stk, f))",
+        "seen.add((m, e, len(stk), f))",
+    ),
+    (
+        "M5",
+        "the failure memo key drops the cursor",
+        "fpt_solver.py",
+        "key = (rest, cursor, tri.edge_mask)",
+        "key = (rest, tri.edge_mask)",
+    ),
+    (
+        "M11",
+        "_steps drops the jump when the stack top is the diagonal just created",
+        "fpt_solver.py",
+        "if top == created or (top != at and top in tri):",
+        "if top != at and top in tri:",
+    ),
+    (
+        "zero-slack+1",
+        "the zero-slack cut also fires at k = |changed edges| + 1, where it is unsound",
+        "fpt_solver.py",
+        "0 < k == len(order) and not any(",
+        "0 < k <= len(order) + 1 and not any(",
+    ),
+]
+
+
+def failing_tests(src: Path) -> list[str]:
+    """The tier-1 tests that fail with flipdist imported from `src`."""
+    run = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+            "--continue-on-collection-errors", "-o", f"pythonpath={src}",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    return re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
+
+
+def main() -> int:
+    # a failing suite would count every mutant as killed
+    broken = failing_tests(ROOT / "src")
+    if broken:
+        print(f"the unmutated suite fails {len(broken)} tests: {', '.join(broken)}")
+        return 2
+    survivors = []
+    for name, what, module, original, mutant in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            path = src / "flipdist" / module
+            text = path.read_text()
+            if text.count(original) != 1:
+                print(f"{name}: {original!r} is not once in {module}; update the mutant")
+                return 2
+            path.write_text(text.replace(original, mutant))
+            failed = failing_tests(src)
+        print(f"{name} ({what}): {len(failed)} failing")
+        for test in failed:
+            print(f"    {test}")
+        if not failed:
+            survivors.append(name)
+    if survivors:
+        print(f"survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -269,6 +269,39 @@ def test_exists_below_changed_edges_cuts_without_expanding():
         assert stats.lower_bound_cuts == 1  # the root cut
 
 
+def _has_happy_flip(a, b):
+    """True iff some changed edge of a flips admissibly into an edge of b."""
+    return any(a.flip_preview(e) and a.flip_preview(e)[0] in b for e in changed_edges(a, b))
+
+
+def test_exists_at_changed_edges_without_a_happy_flip_cuts_without_expanding():
+    # zero slack: each of k = |changed edges| flips must remove a goal-absent
+    # edge and create a goal edge, the first of them on the start
+    for n, scramble, seed in GAP_PAIRS:
+        a, b = generate_instance(n, "random", scramble, seed).triangulations()
+        assert not _has_happy_flip(a, b)
+        stats = SolverStats()
+        assert not exists_solution_with_exactly_k_flips(a, b, len(changed_edges(a, b)), stats=stats)
+        assert stats.states_expanded == 0
+        assert stats.lower_bound_cuts == 1  # the root cut
+
+
+def test_exists_at_changed_edges_with_a_happy_flip_still_searches():
+    # d = |changed edges| pairs have a happy flip, so the cut lets them through
+    accepted = 0
+    for seed in range(40):
+        a, b = random_pair(6 + seed % 3, 1 + seed % 5, 1900 + seed)
+        ce = len(changed_edges(a, b))
+        if ce == 0 or bfs_distance(a, b) != ce:
+            continue
+        assert _has_happy_flip(a, b)
+        stats = SolverStats()
+        assert exists_solution_with_exactly_k_flips(a, b, ce, stats=stats)
+        assert stats.states_expanded > 0
+        accepted += 1
+    assert accepted >= 30
+
+
 def test_iteration_cut_keeps_exactly_the_outcomes_within_bound():
     # the cut drops a successor only when the goal is out of reach, so the
     # cut outcome set is the raw one minus outcomes with too many absent edges
@@ -363,10 +396,10 @@ def test_node_search_expands_no_more_states(pair, states):
 # cuts, actions or visit order moves them.  The unpruned reference on
 # (14, 8, 2) runs too long for the suite.
 PINNED_COUNTS = {
-    (6, 4, 103): (9, (53, 274, 14, 4, 3, 58), (3073, 18520, 14, 5, 11, 0)),
-    (6, 4, 132): (9, (53, 272, 14, 4, 3, 58), (2929, 17366, 14, 5, 11, 0)),
-    (6, 4, 166): (6, (56, 272, 14, 4, 3, 32), (3332, 17630, 14, 7, 14, 0)),
-    (7, 4, 51): (19, (41, 244, 14, 4, 3, 66), (15647, 106804, 14, 14, 22, 0)),
+    (6, 4, 103): (9, (43, 228, 14, 4, 2, 43), (3073, 18520, 14, 5, 11, 0)),
+    (6, 4, 132): (9, (43, 226, 14, 4, 2, 43), (2929, 17366, 14, 5, 11, 0)),
+    (6, 4, 166): (6, (45, 228, 14, 4, 2, 25), (3332, 17630, 14, 7, 14, 0)),
+    (7, 4, 51): (19, (28, 178, 14, 4, 2, 43), (15647, 106804, 14, 14, 22, 0)),
     (14, 8, 2): (11534, (188, 1490, 14, 7, 4, 682), None),
 }
 
@@ -439,7 +472,7 @@ def test_fpt_distance_on_the_convex_gadget_at_n_50():
     a, b = convex_gadget(50)
     stats = SolverStats()
     assert fpt_distance(a, b, 12, stats) == 10
-    assert (stats.states_expanded, stats.lower_bound_cuts) == (79_990, 347_944)
+    assert (stats.states_expanded, stats.lower_bound_cuts) == (79_961, 347_833)
 
 
 def test_fpt_distance_cap_and_bounds():

@@ -3,6 +3,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     HEXAGON_POINTS,
@@ -87,6 +88,44 @@ def test_point_set_rejects_out_of_range_coordinates_and_too_few_points():
 def test_build_rejects_a_triangle_of_two_ids():
     with pytest.raises(InvalidTriangulation, match=r"triangle needs 3 vertices, got \(0, 1\)"):
         Triangulation.build(SQUARE_POINTS, [(0, 1), (0, 2, 3)])
+
+
+def test_build_reports_the_first_of_two_faults():
+    # per-triangle checks run in input order, before the count check, and
+    # the count check runs before any edge is judged
+    with pytest.raises(InvalidTriangulation, match=r"duplicate triangle \(0, 1, 2\)"):
+        Triangulation.build(SQUARE_POINTS, [(0, 1, 2), (2, 1, 0), (0, 1, 7)])
+    # edge (0, 1) is in three triangles, and there are five, not three
+    with pytest.raises(InvalidTriangulation, match="expected 3 triangles, got 5"):
+        Triangulation.build(PENTAGON_POINTS, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 3), (0, 1, 4)])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(4, 9),
+    hull=st.sampled_from(["random", "convex"]),
+    seed=st.integers(0, 50),
+    data=st.data(),
+)
+def test_build_rejects_one_corrupted_triangle(n, hull, seed, data):
+    # a triangulation is fixed by all but one of its triangles, so
+    # changing one vertex of one triangle, or dropping or repeating a
+    # triangle, never leaves a triangulation
+    inst = generate_instance(n, hull, 0, seed)
+    tris = [list(t) for t in inst.initial]
+    i = data.draw(st.integers(0, len(tris) - 1), label="triangle")
+    kind = data.draw(st.sampled_from(["replace", "drop", "duplicate"]), label="kind")
+    if kind == "replace":
+        j = data.draw(st.integers(0, 2), label="corner")
+        tris[i][j] = data.draw(st.integers(-1, n).filter(lambda v: v != tris[i][j]), label="vertex")
+    elif kind == "drop":
+        del tris[i]
+    else:
+        tris.insert(data.draw(st.integers(0, len(tris)), label="at"), list(tris[i]))
+    ps = PointSet(inst.points)
+    Triangulation.build(ps, inst.initial)
+    with pytest.raises(InvalidTriangulation):
+        Triangulation.build(ps, tris)
 
 
 def test_build_rejects_all_collinear():
@@ -319,15 +358,23 @@ def test_edges_sharing_triangle_square(square):
 
 
 def test_edges_sharing_triangle_counts_exhaustive(pentagon_ps):
+    # the sides of e's triangles in canonical order, read off the triangle
+    # set; the interior edges of the point set with an inner point meet all
+    # six relative orders of their two vertices and two apexes
+    inner = SMALL_POINT_SETS[1]
     seeds = [
         pentagon_fan(pentagon_ps, 0),
         Triangulation.build(HEXAGON_POINTS, [(0, 1, 5), (1, 4, 5), (1, 2, 4), (2, 3, 4)]),
+        Triangulation.build(inner, scan_triangulation(inner)),
     ]
     for seed_tri in seeds:
         for tri in enumerate_triangulations(seed_tri):
             for e in tri.edges():
                 expected = 2 if e in tri.ps.boundary_edges else 4
-                assert len(tri.edges_sharing_triangle(e)) == expected
+                apexes = [w for t in tri.triangles if set(e) < set(t) for w in t if w not in e]
+                sides = tuple(sorted(make_edge(v, w) for v in e for w in apexes))
+                assert len(sides) == expected
+                assert tri.edges_sharing_triangle(e) == sides
 
 
 def test_edges_share_triangle(square):
