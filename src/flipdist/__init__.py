@@ -39,7 +39,6 @@ from .oracle import (
     enumerate_triangulations,
 )
 from .fpt_solver import (
-    Action,
     MachineState,
     SolverStats,
     decide_flip_distance_eq,
@@ -84,7 +83,6 @@ __all__ = [
     "bfs_distance",
     "enumerate_minimal_solutions",
     "enumerate_triangulations",
-    "Action",
     "MachineState",
     "SolverStats",
     "decide_flip_distance_eq",

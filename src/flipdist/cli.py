@@ -70,6 +70,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
     initial, final = inst.triangulations()
     k = args.k if args.k is not None else inst.k
+    if args.engine == "fpt" and k is None:
+        print("distance: engine fpt needs k (instance 'k' line or --k)", file=sys.stderr)
+        return EXIT_INPUT
     record = {
         "n": len(initial.ps),
         "h": initial.ps.hull_size,
@@ -80,48 +83,30 @@ def cmd_distance(args: argparse.Namespace) -> int:
         "millis": 0,
     }
     started = time.perf_counter()
-
-    distance = None
-    ostats = OracleStats()
-    if args.engine in ("oracle", "both"):
-        distance = astar_distance(initial, final, cap=args.cap, stats=ostats)
-        record["states_explored"] += ostats.nodes_visited
+    distance = decision = None
+    if args.engine != "fpt":
+        ostats = OracleStats()
+        distance = record["result"] = astar_distance(initial, final, cap=args.cap, stats=ostats)
+        record["states_explored"] = ostats.nodes_visited
         if distance is None:
             record["millis"] = round((time.perf_counter() - started) * 1000)
             _emit(record)
             print(f"oracle: distance exceeds cap {args.cap}", file=sys.stderr)
             return EXIT_BUDGET
-
-    decision = None
-    if args.engine in ("fpt", "both"):
+    if args.engine != "oracle":
         if k is None:
-            if args.engine == "fpt":
-                print("distance: engine fpt needs k (instance 'k' line or --k)", file=sys.stderr)
-                return EXIT_INPUT
-            k = distance
-            record["k"] = k
+            k = record["k"] = distance
         fstats = SolverStats()
-        decision = decide_flip_distance_eq(initial, final, k, stats=fstats)
+        decision = record["result"] = decide_flip_distance_eq(initial, final, k, stats=fstats)
         record["states_explored"] += fstats.states_expanded
-
-    if args.engine == "oracle":
-        record["result"] = distance
-    elif args.engine == "fpt":
-        record["result"] = decision
-    else:
-        agree = decision == (k == distance)
-        record["result"] = {"oracle": distance, "fpt": decision, "agree": agree}
+    if args.engine == "both":
+        record["result"] = {"oracle": distance, "fpt": decision, "agree": decision == (k == distance)}
     record["millis"] = round((time.perf_counter() - started) * 1000)
     _emit(record)
-
-    if args.engine == "oracle":
-        return EXIT_OK
-    if args.engine == "fpt":
-        return EXIT_OK if decision else EXIT_REJECT
-    if not record["result"]["agree"]:
+    if args.engine == "both" and not record["result"]["agree"]:
         print("distance: engines disagree (this is a bug)", file=sys.stderr)
         return EXIT_REJECT
-    return EXIT_OK if decision else EXIT_REJECT
+    return EXIT_REJECT if decision is False else EXIT_OK
 
 
 def _parse_flips(spec: str) -> list[tuple[int, int]]:

@@ -18,7 +18,8 @@ at most 1, so no state ever has more than 14 legal actions.  _steps is
 the single statement of these semantics, as at most five step groups
 per state (one per kind; its steps differ only in the target edge).
 The search judges a state's flip once and each group's budget once;
-legal_actions expands the groups for callers that inspect one state.
+legal_actions expands the groups into (kind, successor) pairs for
+callers that inspect one state.
 _steps never flips; the search builds a flip only for a kept successor.
 
 A full run splits k into a composition (k_1, .., k_t); iteration l
@@ -67,17 +68,6 @@ FLIP_MOVE = "flip_move"
 FLIP_PUSH_MOVE = "flip_push_move"
 FLIP_JUMP = "flip_jump"
 FLIP_JUMP_POP = "flip_jump_pop"
-
-# 4 moves + 4 flip-moves + 4 flip-push-moves + jump + jump-pop
-MAX_ACTIONS_PER_STATE = 14
-
-
-class Action(NamedTuple):
-    """One machine choice; `choice` indexes the move target of the
-    move-bearing kinds and is 0 for the jump kinds."""
-
-    kind: str
-    choice: int = 0
 
 
 class MachineState(NamedTuple):
@@ -133,24 +123,20 @@ def _steps(
     return groups
 
 
-def legal_actions(state: MachineState) -> list[tuple[Action, MachineState]]:
-    """Every legal (action, successor) pair of `state`, in kind order.
+def legal_actions(state: MachineState) -> list[tuple[str, MachineState]]:
+    """Every legal (kind, successor) pair of `state`, in kind order and
+    then target order.
 
     A view of _steps for inspecting one state; budgets are the caller's
-    business.  The result never exceeds MAX_ACTIONS_PER_STATE entries.
+    business.
     """
     tri, at, stack, flips, acts = state
     flipped, created = tri.apply_flip(at) if tri.flip_preview(at) else (None, None)
-    out = [
-        (
-            Action(kind, choice),
-            MachineState(tri if kind == MOVE else flipped, e, stk, flips + (kind != MOVE), acts + 1),
-        )
+    return [
+        (kind, MachineState(tri if kind == MOVE else flipped, e, stk, flips + (kind != MOVE), acts + 1))
         for kind, targets, stk in _steps(tri, at, stack, created)
-        for choice, e in enumerate(targets)
+        for e in targets
     ]
-    assert len(out) <= MAX_ACTIONS_PER_STATE, f"{len(out)} actions from one state"
-    return out
 
 
 def _node_search(

@@ -4,6 +4,7 @@ flip sequences and their dependency DAGs."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from typing import Sequence
@@ -13,6 +14,7 @@ import pytest
 from flipdist import (
     FlipDag,
     FlipSequence,
+    InadmissibleFlip,
     Point,
     PointSet,
     SolverStats,
@@ -23,6 +25,7 @@ from flipdist import (
     enumerate_triangulations,
     fpt_solver,
     generate_instance,
+    make_edge,
 )
 from flipdist.geometry import convex_hull, cross
 from flipdist.oracle import _bfs
@@ -59,6 +62,33 @@ def polygon_fans(n: int = 20) -> tuple[Triangulation, Triangulation]:
         return Triangulation.build(ps, [(apex, u, v) for u, v in sides if apex not in (u, v)])
 
     return fan(0), fan(n // 2)
+
+
+def machine_steps(tri: Triangulation, at, stack) -> list[tuple[str, tuple[int, int], tuple]]:
+    """Every legal step of the FPT machine from (tri, at, stack) as
+    (kind, target edge, stack after), in kind order and then target order.
+
+    Written from the five action kinds in the fpt_solver module docstring,
+    sharing no code with fpt_solver._steps: the edges sharing a triangle
+    with `at` come from the triangle set, `at` flips where apply_flip
+    accepts it, and a jump lands on the stack's top when that edge is in
+    the flipped triangulation.
+    """
+    sides = sorted(
+        {make_edge(u, v) for t in tri.triangles if set(at) <= set(t) for u, v in itertools.combinations(t, 2)}
+        - {at}
+    )
+    steps = [("move", e, stack) for e in sides]
+    try:
+        flipped, created = tri.apply_flip(at)
+    except InadmissibleFlip:
+        return steps
+    # the flip keeps the four sides of the quadrilateral around `at`
+    steps += [("flip_move", e, stack) for e in sides]
+    steps += [("flip_push_move", e, stack + (created,)) for e in sides]
+    if stack and stack[-1] in flipped:
+        steps += [("flip_jump", stack[-1], stack), ("flip_jump_pop", stack[-1], stack[:-1])]
+    return steps
 
 
 def raw_iteration_outcomes(tri: Triangulation, start, part: int, stats: SolverStats):

@@ -1,7 +1,8 @@
-"""Hand mutants of the FPT search rules, rerun against the tier-1 suite:
-three that no answer test catches, only pinned state counts (M4, M5,
-M11), and the zero-slack root cut stretched to k = |changed edges| + 1,
-where it is unsound.
+"""Hand mutants, rerun against the tier-1 suite: three FPT search rules
+that no answer test catches, only pinned state counts (M4, M5) and the
+independent statement of the machine's steps (M11); the zero-slack root
+cut stretched to k = |changed edges| + 1, where it is unsound; and two
+faults in the `distance` command's record and exit code.
 
 Run from the root of a checkout:
 
@@ -56,6 +57,22 @@ MUTANTS = [
         "fpt_solver.py",
         "0 < k == len(order) and not any(",
         "0 < k <= len(order) + 1 and not any(",
+    ),
+    (
+        "oracle-k",
+        "under --engine oracle, distance writes the oracle distance into the record's k",
+        "cli.py",
+        '        record["states_explored"] = ostats.nodes_visited\n',
+        '        record["states_explored"] = ostats.nodes_visited\n'
+        "        if k is None:\n"
+        '            k = record["k"] = distance\n',
+    ),
+    (
+        "disagree-exit-0",
+        "under --engine both, distance exits 0 when the engines disagree",
+        "cli.py",
+        'print("distance: engines disagree (this is a bug)", file=sys.stderr)\n        return EXIT_REJECT',
+        'print("distance: engines disagree (this is a bug)", file=sys.stderr)\n        return EXIT_OK',
     ),
 ]
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from flipdist import fpt_solver, parse_instance
+from flipdist import cli, fpt_solver, parse_instance
 from flipdist.cli import main
 
 SQUARE_TEXT = """\
@@ -238,6 +238,107 @@ def test_distance_both_with_off_target_k(square_file, capsys):
     assert main(["distance", square_file, "--engine", "both", "--k", "2"]) == 1
     record = json.loads(capsys.readouterr().out)
     assert record["result"] == {"oracle": 1, "fpt": False, "agree": True}
+
+
+# the `distance` record, exit code and stderr for every engine, k source
+# and cap: k comes from the instance's `k` line (the distance), from --k
+# (the distance + 1, overriding that line) or from neither, and --cap is
+# the default ("within") or the distance - 1 ("over"); (instance, engine,
+# k source, cap): (exit code, record k, record result, states_explored)
+DISTANCE_MATRIX = {
+    ("square", "oracle", "file", "within"): (0, 1, 1, 2),
+    ("square", "oracle", "file", "over"): (3, 1, None, 1),
+    ("square", "oracle", "flag", "within"): (0, 2, 1, 2),
+    ("square", "oracle", "flag", "over"): (3, 2, None, 1),
+    ("square", "oracle", "absent", "within"): (0, None, 1, 2),
+    ("square", "oracle", "absent", "over"): (3, None, None, 1),
+    ("square", "fpt", "file", "within"): (0, 1, True, 1),
+    ("square", "fpt", "file", "over"): (0, 1, True, 1),
+    ("square", "fpt", "flag", "within"): (1, 2, False, 1),
+    ("square", "fpt", "flag", "over"): (1, 2, False, 1),
+    ("square", "fpt", "absent", "within"): (2, None, None, None),
+    ("square", "fpt", "absent", "over"): (2, None, None, None),
+    ("square", "both", "file", "within"): (0, 1, {"oracle": 1, "fpt": True, "agree": True}, 3),
+    ("square", "both", "file", "over"): (3, 1, None, 1),
+    ("square", "both", "flag", "within"): (1, 2, {"oracle": 1, "fpt": False, "agree": True}, 3),
+    ("square", "both", "flag", "over"): (3, 2, None, 1),
+    ("square", "both", "absent", "within"): (0, 1, {"oracle": 1, "fpt": True, "agree": True}, 3),
+    ("square", "both", "absent", "over"): (3, None, None, 1),
+    ("pentagon", "oracle", "file", "within"): (0, 2, 2, 4),
+    ("pentagon", "oracle", "file", "over"): (3, 2, None, 1),
+    ("pentagon", "oracle", "flag", "within"): (0, 3, 2, 4),
+    ("pentagon", "oracle", "flag", "over"): (3, 3, None, 1),
+    ("pentagon", "oracle", "absent", "within"): (0, None, 2, 4),
+    ("pentagon", "oracle", "absent", "over"): (3, None, None, 1),
+    ("pentagon", "fpt", "file", "within"): (0, 2, True, 2),
+    ("pentagon", "fpt", "file", "over"): (0, 2, True, 2),
+    ("pentagon", "fpt", "flag", "within"): (1, 3, False, 2),
+    ("pentagon", "fpt", "flag", "over"): (1, 3, False, 2),
+    ("pentagon", "fpt", "absent", "within"): (2, None, None, None),
+    ("pentagon", "fpt", "absent", "over"): (2, None, None, None),
+    ("pentagon", "both", "file", "within"): (0, 2, {"oracle": 2, "fpt": True, "agree": True}, 6),
+    ("pentagon", "both", "file", "over"): (3, 2, None, 1),
+    ("pentagon", "both", "flag", "within"): (1, 3, {"oracle": 2, "fpt": False, "agree": True}, 6),
+    ("pentagon", "both", "flag", "over"): (3, 3, None, 1),
+    ("pentagon", "both", "absent", "within"): (0, 2, {"oracle": 2, "fpt": True, "agree": True}, 6),
+    ("pentagon", "both", "absent", "over"): (3, None, None, 1),
+}
+
+# instance text without a `k` line, its point count (all on the hull) and its flip distance
+DISTANCE_INSTANCES = {
+    "square": (SQUARE_TEXT.removesuffix("k 1\n"), 4, 1),
+    "pentagon": (PENTAGON_TEXT, 5, 2),
+}
+
+
+def _run_distance(tmp_path, capsys, instance, engine, k_from, cap):
+    text, _, d = DISTANCE_INSTANCES[instance]
+    path = tmp_path / f"{instance}.txt"
+    path.write_text(text + (f"k {d}\n" if k_from != "absent" else ""))
+    argv = ["distance", str(path), "--engine", engine]
+    argv += ["--k", str(d + 1)] if k_from == "flag" else []
+    argv += ["--cap", str(d - 1)] if cap == "over" else []
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _distance_line(instance, engine, k, result, states, out):
+    # the record's bytes with the measured millis put back in
+    n = DISTANCE_INSTANCES[instance][1]
+    millis = json.loads(out)["millis"]
+    record = {"n": n, "h": n, "k": k, "engine": engine, "result": result}
+    return json.dumps({**record, "states_explored": states, "millis": millis}) + "\n"
+
+
+@pytest.mark.parametrize("case", list(DISTANCE_MATRIX), ids="-".join)
+def test_distance_record_matrix(tmp_path, capsys, case):
+    instance, engine, k_from, _ = case
+    code, k, result, states = DISTANCE_MATRIX[case]
+    exit_code, out, err = _run_distance(tmp_path, capsys, *case)
+    assert exit_code == code
+    if code == 2:
+        assert (out, err) == ("", "distance: engine fpt needs k (instance 'k' line or --k)\n")
+        return
+    assert out == _distance_line(instance, engine, k, result, states, out)
+    over = DISTANCE_INSTANCES[instance][2] - 1
+    assert err == (f"oracle: distance exceeds cap {over}\n" if code == 3 else "")
+
+
+@pytest.mark.parametrize("instance", list(DISTANCE_INSTANCES))
+@pytest.mark.parametrize("k_from", ["file", "flag"])
+def test_distance_both_reports_disagreeing_engines(tmp_path, capsys, monkeypatch, instance, k_from):
+    # an FPT decision that contradicts the oracle is a bug, reported and exit 1
+    monkeypatch.setattr(cli, "decide_flip_distance_eq", lambda start, goal, k, stats: k != d)
+    d = DISTANCE_INSTANCES[instance][2]
+    code, out, err = _run_distance(tmp_path, capsys, instance, "both", k_from, "within")
+    assert code == 1
+    k = d if k_from == "file" else d + 1
+    result = {"oracle": d, "fpt": k != d, "agree": False}
+    # the stand-in decision expands no state, so only the oracle's count
+    states = DISTANCE_MATRIX[(instance, "oracle", k_from, "within")][3]
+    assert out == _distance_line(instance, "both", k, result, states, out)
+    assert err == "distance: engines disagree (this is a bug)\n"
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["distance"], ["dag", "--flips", "0-2"]])

@@ -9,6 +9,7 @@ from conftest import (
     convex_slack_strata,
     count_builds,
     iteration_outcomes,
+    machine_steps,
     pentagon_fan,
     polygon_fans,
     random_pair,
@@ -26,6 +27,7 @@ from flipdist import (
     bfs_distance,
     changed_edges,
     decide_flip_distance_eq,
+    enumerate_triangulations,
     exists_solution_with_exactly_k_flips,
     fpt_distance,
     fpt_solver,
@@ -37,7 +39,6 @@ from flipdist.fpt_solver import (
     FLIP_JUMP_POP,
     FLIP_MOVE,
     FLIP_PUSH_MOVE,
-    MAX_ACTIONS_PER_STATE,
     MOVE,
 )
 from flipdist.oracle import OracleStats
@@ -76,8 +77,8 @@ def test_compositions_rejects_negative(far_fans):
 
 def _kinds(pairs):
     counts = {}
-    for action, _ in pairs:
-        counts[action.kind] = counts.get(action.kind, 0) + 1
+    for kind, _ in pairs:
+        counts[kind] = counts.get(kind, 0) + 1
     return counts
 
 
@@ -86,11 +87,11 @@ def test_legal_actions_at_square_diagonal(square):
     assert len(pairs) == 12
     assert _kinds(pairs) == {MOVE: 4, FLIP_MOVE: 4, FLIP_PUSH_MOVE: 4}
     # move targets are the four quadrilateral sides, in canonical order
-    moves = [s.at for a, s in pairs if a.kind == MOVE]
+    moves = [s.at for kind, s in pairs if kind == MOVE]
     assert moves == [(0, 1), (0, 3), (1, 2), (2, 3)]
     # flip-bearing successors flipped exactly once
-    for action, succ in pairs:
-        if action.kind == MOVE:
+    for kind, succ in pairs:
+        if kind == MOVE:
             assert succ.flips_done == 0 and succ.tri is square
         else:
             assert succ.flips_done == 1 and (1, 3) in succ.tri
@@ -106,10 +107,10 @@ def test_legal_actions_at_boundary_edge(square):
 
 def test_legal_actions_with_live_stack_top_hits_maximum(square):
     pairs = legal_actions(MachineState(square, (0, 2), ((0, 1),), 0, 0))
-    assert len(pairs) == MAX_ACTIONS_PER_STATE == 14
+    assert len(pairs) == 14
     assert _kinds(pairs) == {MOVE: 4, FLIP_MOVE: 4, FLIP_PUSH_MOVE: 4, FLIP_JUMP: 1, FLIP_JUMP_POP: 1}
-    jump = [s for a, s in pairs if a.kind == FLIP_JUMP][0]
-    jump_pop = [s for a, s in pairs if a.kind == FLIP_JUMP_POP][0]
+    jump = [s for kind, s in pairs if kind == FLIP_JUMP][0]
+    jump_pop = [s for kind, s in pairs if kind == FLIP_JUMP_POP][0]
     assert jump.at == (0, 1) and jump.stack == ((0, 1),)
     assert jump_pop.at == (0, 1) and jump_pop.stack == ()
 
@@ -123,8 +124,8 @@ def test_legal_actions_jump_needs_surviving_top(square):
 
 def test_legal_actions_push_records_created_diagonal(square):
     pairs = legal_actions(MachineState(square, (0, 2), (), 0, 0))
-    for action, succ in pairs:
-        if action.kind == FLIP_PUSH_MOVE:
+    for kind, succ in pairs:
+        if kind == FLIP_PUSH_MOVE:
             assert succ.stack == ((1, 3),)
 
 
@@ -135,7 +136,32 @@ def test_legal_actions_bounded_on_random_walks():
         for state_tri, e in random_walk(tri, 15, rng):
             stack = tuple(rng.sample(state_tri.edges(), rng.randrange(0, 3)))
             pairs = legal_actions(MachineState(state_tri, e, stack, 0, 0))
-            assert 2 <= len(pairs) <= MAX_ACTIONS_PER_STATE
+            assert 2 <= len(pairs) <= 14
+
+
+def _stacks(tri, at, created):
+    """(), (x,) and (y, x) for x the diagonal a flip of `at` creates (when
+    it flips), `at` itself, another edge of tri and an edge not in tri."""
+    other = next(e for e in tri.edges() if e != at)
+    absent = next(e for e in itertools.combinations(range(len(tri.ps)), 2) if e not in tri and e != created)
+    tops = [x for x in (created, at, other, absent) if x is not None]
+    return [()] + [(x,) for x in tops] + [(other, x) for x in tops]
+
+
+def test_steps_match_an_independent_statement_of_the_machine(hexagon):
+    # every state of both point sets has at most 14 steps, and some has
+    # exactly 14: 4 moves, 4 flip-moves, 4 flip-push-moves and 2 jumps
+    most = 0
+    random7, _ = random_pair(7, 0, 5)
+    for tri in [*enumerate_triangulations(hexagon), *enumerate_triangulations(random7)]:
+        for at in tri.edges():
+            created = (tri.flip_preview(at) or (None,))[0]
+            for stack in _stacks(tri, at, created):
+                steps = fpt_solver._steps(tri, at, stack, created)
+                triples = [(kind, e, stk) for kind, targets, stk in steps for e in targets]
+                assert triples == machine_steps(tri, at, stack), (tri, at, stack)
+                most = max(most, len(triples))
+    assert most == 14
 
 
 def test_run_iteration_single_flip(square):
@@ -231,7 +257,7 @@ def test_decide_matches_oracle_on_random_instances():
         assert decide_flip_distance_eq(a, b, d, stats=stats)
         for k in range(d):
             assert not decide_flip_distance_eq(a, b, k, stats=stats)
-    assert 0 < stats.max_branching <= MAX_ACTIONS_PER_STATE
+    assert 0 < stats.max_branching <= 14
 
 
 def test_exists_pruning_parity_small():
@@ -455,7 +481,8 @@ def test_memo_shares_failures_across_prefixes():
     a, b = generate_instance(9, "random", 4, 111).triangulations()
     stats = SolverStats()
     assert not exists_solution_with_exactly_k_flips(a, b, 5, stats)
-    assert stats.states_expanded <= 2763
+    # exact, so a memo that shares fewer failures fails, not only one that shares none
+    assert stats.states_expanded == 2763
 
 
 def test_fpt_distance_matches_oracle_on_larger_pair():
@@ -504,44 +531,25 @@ def test_slack_two_pairs_agree():
         assert fpt_distance(start, goal, d) == d
 
 
-def test_node_search_expands_fewer_states_on_the_hard_stratum():
-    # one search per tree node; with one iteration per node and part the
-    # 16 slack-2 goals of the convex 9-gon took 91,413 states in total, and
-    # the last goal of greatest (slack, d) = (3, 10) of the 10-gon 215,531
-    start, strata = convex_slack_strata(9)
-    stats = SolverStats()
-    for slack, d, goal in strata:
-        if slack == 2:
-            assert fpt_distance(start, goal, d, stats=stats) == d
-    assert stats.states_expanded <= 31_189
-    start, strata = convex_slack_strata(10)
-    slack, d, goal = [s for s in strata if s[:2] == (3, 10)][-1]
-    stats = SolverStats()
-    assert fpt_distance(start, goal, d, stats=stats) == d
-    assert stats.states_expanded <= 55_853
-
-
 def test_streamed_outcomes_expand_no_more_states():
     # each node search yields every outcome as found, so an accepting
     # outcome of a larger part ends the node before a smaller part is
     # complete; releasing part p only once level 2p was popped took
-    # 70/71/74/63 on GAP_PAIRS, 31,189 on the 9-gon and 55,853 on the 10-gon
-    for (n, scramble, seed), states in zip(GAP_PAIRS, [53, 53, 56, 41]):
-        a, b = generate_instance(n, "random", scramble, seed).triangulations()
-        stats = SolverStats()
-        assert fpt_distance(a, b, 6, stats) == 4
-        assert stats.states_expanded <= states
+    # 31,189 states on the 9-gon and 55,853 on the 10-gon (PINNED_COUNTS
+    # pins GAP_PAIRS)
     start, strata = convex_slack_strata(9)
     stats = SolverStats()
     for slack, d, goal in strata:
         if slack == 2:
             assert fpt_distance(start, goal, d, stats=stats) == d
-    assert stats.states_expanded <= 27_390
+    # exact, as any bound lets a smaller regression pass
+    assert stats.states_expanded == 27_270
     start, strata = convex_slack_strata(10)
     slack, d, goal = [s for s in strata if s[:2] == (3, 10)][-1]
     stats = SolverStats()
     assert fpt_distance(start, goal, d, stats=stats) == d
-    assert stats.states_expanded <= 53_890
+    # exact, as above; 17 more states without the zero-slack cut at k = 7
+    assert stats.states_expanded == 53_873
 
 
 def test_fpt_budget_stops_the_max_slack_eleven_gon(monkeypatch):
