@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from .flip_dag import (
     InvalidFlipSequence,
     apply_sequence,
-    arc_lines,
     build_dag,
     classify_essential,
 )
@@ -138,8 +136,8 @@ def cmd_dag(args: argparse.Namespace) -> int:
             f"created={rec.created[0]}-{rec.created[1]}"
         )
     print(f"arcs {len(dag.arcs)}")
-    for line in arc_lines(dag):
-        print(line)
+    for i, j in dag.arcs:
+        print(f"{i} -> {j}")
     labelled = classify_essential(dag, seq)
     print(f"components {len(labelled)}")
     for idx, (comp, essential) in enumerate(labelled, start=1):
@@ -148,8 +146,7 @@ def cmd_dag(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_row(params: tuple[int, int, int, int]) -> dict:
-    n, scramble, seed, cap = params
+def _bench_row(n: int, scramble: int, seed: int, cap: int) -> dict:
     inst = generate_instance(n, "random", scramble, seed)
     initial, final = inst.triangulations()
     row = {"n": n, "h": initial.ps.hull_size, "seed": seed, "scramble": scramble}
@@ -180,9 +177,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if value < 0:
             print(f"bench: {flag} must be nonnegative, got {value}", file=sys.stderr)
             return EXIT_INPUT
-    if args.jobs < 1:
-        print(f"bench: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_INPUT
     try:
         sizes = [int(s) for s in args.n.split(",") if s.strip()]
     except ValueError:
@@ -191,24 +185,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not sizes:
         print("bench: empty --n list", file=sys.stderr)
         return EXIT_INPUT
-    params = []
-    for i, n in enumerate(sizes):
-        for trial in range(args.trials):
-            params.append((n, args.scramble, args.seed + 1000 * i + trial, args.cap))
 
     started = time.perf_counter()
-    # the fork start method launches every worker at the first submit, so
-    # never ask for more workers than there are rows or CPUs
-    workers = min(args.jobs, len(params), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here because multiprocessing adds about 2 MB to every
-        # process that imports this module
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_row, params))
-    else:
-        rows = [_bench_row(p) for p in params]
+    rows = [
+        _bench_row(n, args.scramble, args.seed + 1000 * i + trial, args.cap)
+        for i, n in enumerate(sizes)
+        for trial in range(args.trials)
+    ]
     for row in rows:
         _emit(row)
 
@@ -248,7 +231,6 @@ COMMANDS = (
         ("--trials", dict(type=int, default=5, help="instances per point count")),
         ("--seed", dict(type=int, default=0)),
         ("--cap", dict(type=int, default=DEFAULT_CAP)),
-        ("--jobs", dict(type=int, default=1)),
     ), cmd_bench),
 )
 

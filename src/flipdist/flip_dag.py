@@ -165,8 +165,3 @@ def classify_essential(dag: FlipDag, seq: FlipSequence) -> list[tuple[tuple[int,
         essential = any(seq.records[i - 1].removed in changed for i in comp)
         out.append((comp, essential))
     return out
-
-
-def arc_lines(dag: FlipDag) -> list[str]:
-    """Arcs as Graphviz-compatible lines, one per arc."""
-    return [f"{i} -> {j}" for i, j in dag.arcs]

@@ -1,7 +1,5 @@
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 
@@ -59,7 +57,7 @@ COMMAND_OPTIONS = {
     "gen": ["--n", "--hull", "--scramble", "--seed"],
     "distance": ["file", "--engine", "--cap", "--k"],
     "dag": ["file", "--flips"],
-    "bench": ["--n", "--scramble", "--trials", "--seed", "--cap", "--jobs"],
+    "bench": ["--n", "--scramble", "--trials", "--seed", "--cap"],
 }
 
 
@@ -117,7 +115,7 @@ def test_only_the_invoked_command_gets_options(square_file, monkeypatch, capsys)
     ["gen", "--n", "x"],
     ["distance", "f", "--engine", "x"],
     ["dag", "f", "--flips"],
-    ["bench", "--jobs", "x"],
+    ["bench", "--trials", "x"],
 ], ids=lambda argv: argv[0])
 def test_bad_option_shows_the_command_usage(argv, capsys):
     # the invoked command keeps its -h, so its usage line still shows it
@@ -185,59 +183,11 @@ def test_impossible_size_fails_fast(argv, capsys):
     assert "at most 2002 fit" in captured.err
 
 
-def test_distance_oracle(square_file, capsys):
-    assert main(["distance", square_file, "--engine", "oracle"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["n"] == 4 and record["h"] == 4
-    assert record["engine"] == "oracle"
-    assert record["result"] == 1
-    assert record["states_explored"] >= 2
-    assert record["millis"] >= 0
-
-
-def test_distance_oracle_cap_exceeded(pentagon_file, capsys):
-    assert main(["distance", pentagon_file, "--engine", "oracle", "--cap", "1"]) == 3
-    captured = capsys.readouterr()
-    record = json.loads(captured.out)
-    assert record["result"] is None
-    assert "exceeds cap 1" in captured.err
-
-
-def test_distance_fpt_accepts_instance_k(square_file, capsys):
-    assert main(["distance", square_file, "--engine", "fpt"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"] is True
-
-
-def test_distance_fpt_rejects_wrong_k(square_file, capsys):
-    assert main(["distance", square_file, "--engine", "fpt", "--k", "2"]) == 1
-    record = json.loads(capsys.readouterr().out)
-    assert record["result"] is False and record["k"] == 2
-
-
-def test_distance_fpt_needs_k(pentagon_file, capsys):
-    assert main(["distance", pentagon_file, "--engine", "fpt"]) == 2
-    assert "needs k" in capsys.readouterr().err
-
-
 def test_distance_fpt_budget_exits_3(pentagon_file, capsys, monkeypatch):
     # the CLI has no budget flag; a tiny budget stands in for a runaway search
     monkeypatch.setattr(fpt_solver, "NODE_BUDGET", 1)
     assert main(["distance", pentagon_file, "--engine", "fpt", "--k", "2"]) == 3
     assert "FPT search exceeded its node budget" in capsys.readouterr().err
-
-
-def test_distance_both_defaults_k_to_oracle(pentagon_file, capsys):
-    assert main(["distance", pentagon_file, "--engine", "both"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["k"] == 2
-    assert record["result"] == {"oracle": 2, "fpt": True, "agree": True}
-
-
-def test_distance_both_with_off_target_k(square_file, capsys):
-    # k=2 != distance 1: decision False, which matches the oracle, exit 1
-    assert main(["distance", square_file, "--engine", "both", "--k", "2"]) == 1
-    record = json.loads(capsys.readouterr().out)
-    assert record["result"] == {"oracle": 1, "fpt": False, "agree": True}
 
 
 # the `distance` record, exit code and stderr for every engine, k source
@@ -426,70 +376,6 @@ def test_bench_rows_and_aggregate(capsys):
     assert "bench: rows=3 agreed=3 disagreed=0 skipped=0" in captured.err
 
 
-def strip_timing(text):
-    rows = [json.loads(line) for line in text.splitlines()]
-    for row in rows:
-        row.pop("millis_oracle")
-        row.pop("millis_fpt")
-    return rows
-
-
-def test_bench_parallel_matches_serial(capsys):
-    args = ["bench", "--n", "5,6", "--trials", "2", "--seed", "21"]
-    assert main(args + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--jobs", "2"]) == 0
-    parallel = capsys.readouterr().out
-
-    assert strip_timing(serial) == strip_timing(parallel)
-
-
-def test_bench_jobs_capped_at_row_count(capsys, monkeypatch):
-    # one row: --jobs 64 must take the serial path and start no process
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    args = ["bench", "--n", "5", "--trials", "1", "--seed", "21"]
-    assert main(args + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--jobs", "64"]) == 0
-    capped = capsys.readouterr().out
-
-    assert len(strip_timing(capped)) == 1
-    assert strip_timing(serial) == strip_timing(capped)
-
-
-def test_bench_jobs_capped_at_cpu_count(capsys, monkeypatch):
-    # four rows on two CPUs: --jobs 64 must ask for two workers
-    asked = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    args = ["bench", "--n", "5", "--trials", "4", "--seed", "21"]
-    assert main(args + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--jobs", "64"]) == 0
-    capped = capsys.readouterr().out
-
-    assert asked == [2]
-    assert len(strip_timing(capped)) == 4
-    assert strip_timing(serial) == strip_timing(capped)
-
-
 def test_bench_bad_size_list(capsys):
     assert main(["bench", "--n", "five"]) == 2
     assert "bad --n list" in capsys.readouterr().err
@@ -518,11 +404,3 @@ def test_bench_rejects_negative_counts(flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} must be nonnegative" in captured.err
-
-
-@pytest.mark.parametrize("jobs", ["0", "-4"])
-def test_bench_rejects_jobs_below_one(jobs, capsys):
-    assert main(["bench", "--n", "5", "--trials", "1", "--jobs", jobs]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bench: --jobs must be at least 1" in captured.err

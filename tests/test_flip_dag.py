@@ -21,7 +21,6 @@ from flipdist import (
     classify_essential,
     components,
 )
-from flipdist.flip_dag import arc_lines
 
 
 def _random_sequence(seed: int, max_len: int = 6):
@@ -208,11 +207,6 @@ def test_classify_essential_minimal_solution(square):
     seq = apply_sequence(square, [(0, 2)])
     dag = build_dag(seq)
     assert classify_essential(dag, seq) == [((1,), True)]
-
-
-def test_arc_lines_format(square):
-    seq = apply_sequence(square, [(0, 2), (1, 3)])
-    assert arc_lines(build_dag(seq)) == ["1 -> 2"]
 
 
 def test_flip_dag_rejects_backward_arcs():
