@@ -8,11 +8,11 @@ the size of the flip graph.  The flip_dag module exposes the dependency structur
 flip sequences that justifies the second engine.
 """
 
-from .geometry import Point
 from .triangulation import (
     Edge,
     InadmissibleFlip,
     InvalidTriangulation,
+    Point,
     PointSet,
     PointSetMismatch,
     Triangle,

@@ -158,7 +158,7 @@ def _bench_row(n: int, scramble: int, seed: int, cap: int) -> dict:
     row["states_oracle"] = ostats.nodes_visited
     row["distance"] = distance
     if distance is None:
-        row.update(decision=None, agree=None, skipped=True, millis_fpt=0, states_fpt=0)
+        row.update(millis_fpt=0, states_fpt=0, decision=None, agree=None, skipped=True)
         return row
 
     started = time.perf_counter()

@@ -38,7 +38,7 @@ class GenerationError(RuntimeError):
 
 @dataclass
 class Instance:
-    points: list[tuple[int, int]]
+    points: list[Point]
     initial: list[Triangle]
     final: list[Triangle]
     k: int | None = None
@@ -123,18 +123,17 @@ def render_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def scan_triangulation(points: list[tuple[int, int]]) -> list[Triangle]:
+def scan_triangulation(points: list[Point]) -> list[Triangle]:
     """Some triangulation of the point set, by lexicographic incremental scan.
 
     Each point, in (x, y) order, is joined to every hull edge of the points
     before it that it sees strictly: the edges it pops in `monotone_chains`.
     """
-    pts = [Point(i, x, y) for i, (x, y) in enumerate(points)]
-    _, _, popped = monotone_chains(pts)
-    return sorted(make_triangle(u.id, v.id, p.id) for u, v, p in popped)
+    _, _, popped = monotone_chains(points)
+    return sorted(make_triangle(*t) for t in popped)
 
 
-def _general_position(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
+def _general_position(pts: list[Point], cand: Point) -> bool:
     """Is `cand` (not in pts) off every line through two of pts?
 
     O(n): two points are collinear with cand iff their directions from
@@ -152,7 +151,7 @@ def _general_position(pts: list[tuple[int, int]], cand: tuple[int, int]) -> bool
     return True
 
 
-def _random_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int]]:
+def _random_points(rng: random.Random, n: int, span: int) -> list[Point]:
     """n points in general position: 500 tries per point, then start over,
     at most 10 passes in all."""
     # each of the span + 1 grid columns holds at most two points, as three
@@ -161,8 +160,8 @@ def _random_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int
         raise GenerationError(f"cannot place {n} points in general position (span {span}): "
                               f"at most {2 * (span + 1)} fit")
     for _ in range(10):
-        pts: list[tuple[int, int]] = []
-        placed: set[tuple[int, int]] = set()
+        pts: list[Point] = []
+        placed: set[Point] = set()
         while len(pts) < n:
             for _ in range(500):
                 cand = (rng.randrange(0, span + 1), rng.randrange(0, span + 1))
@@ -177,7 +176,7 @@ def _random_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int
     raise GenerationError(f"could not place {n} points in general position (span {span})")
 
 
-def _convex_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int]]:
+def _convex_points(rng: random.Random, n: int, span: int) -> list[Point]:
     # the middle of three neighbours at angle gaps a, b lies about radius*a*b/2
     # off their chord: about 20n grid units at gaps 2pi/n, far above rounding
     radius = min(max(span, n**3), COORD_LIMIT - 1)
@@ -189,8 +188,7 @@ def _convex_points(rng: random.Random, n: int, span: int) -> list[tuple[int, int
         ]
         if len(set(pts)) != n:
             continue
-        hull = convex_hull([Point(i, x, y) for i, (x, y) in enumerate(pts)])
-        if len(hull) != n:
+        if len(convex_hull(pts)) != n:
             continue
         return pts
     raise GenerationError(f"could not place {n} points in convex position")

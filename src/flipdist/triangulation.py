@@ -58,11 +58,12 @@ def edge_bit(e: Edge) -> int:
 class PointSet:
     """An immutable labelled point set shared by many triangulations.
 
-    Construction validates coordinates (integers within 32-bit range, no
-    duplicates, not all collinear) and precomputes everything every
-    triangulation of the set has in common: the boundary edges of the
-    hull chain, the triangle count forced by Euler's formula and the
-    hull's area.  Nothing is added after construction.
+    `points` is the validated tuple of (x, y) int pairs; a point's id is
+    its index there.  Construction validates coordinates (integers within
+    32-bit range, no duplicates, not all collinear) and precomputes
+    everything every triangulation of the set has in common: the boundary
+    edges of the hull chain, the triangle count forced by Euler's formula
+    and the hull's area.  Nothing is added after construction.
     """
 
     __slots__ = (
@@ -73,9 +74,9 @@ class PointSet:
         "hull_area2",
     )
 
-    def __init__(self, coords: Iterable[tuple[int, int]]):
+    def __init__(self, coords: Iterable[Point]):
         pts: list[Point] = []
-        seen: dict[tuple[int, int], int] = {}
+        seen: dict[Point, int] = {}
         for i, (x, y) in enumerate(coords):
             try:
                 x, y = index(x), index(y)
@@ -88,22 +89,20 @@ class PointSet:
             if (x, y) in seen:
                 raise InvalidTriangulation(f"duplicate point: {i} and {seen[(x, y)]} are both ({x}, {y})")
             seen[(x, y)] = i
-            pts.append(Point(i, x, y))
+            pts.append((x, y))
         if len(pts) < 3:
             raise InvalidTriangulation("need at least 3 points")
         self.points = tuple(pts)
 
-        chain = hull_boundary_chain(self.points)
+        chain = hull_boundary_chain(pts)
         if chain is None:
             raise InvalidTriangulation("all points are collinear")
         h = len(chain)
-        self.boundary_edges = frozenset(
-            make_edge(chain[i].id, chain[(i + 1) % h].id) for i in range(h)
-        )
+        self.boundary_edges = frozenset(make_edge(chain[i], chain[(i + 1) % h]) for i in range(h))
         self.hull_size = h
         # Euler count; h counts every point on the hull boundary, not just corners.
         self.expected_triangles = 2 * len(pts) - h - 2
-        self.hull_area2 = polygon_area2(chain)
+        self.hull_area2 = polygon_area2([pts[v] for v in chain])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -142,7 +141,7 @@ class Triangulation:
     @classmethod
     def build(
         cls,
-        points: PointSet | Iterable[tuple[int, int]],
+        points: PointSet | Iterable[Point],
         triangles: Iterable[Sequence[int]],
     ) -> "Triangulation":
         """Validate `triangles` as a triangulation of `points` and build it.

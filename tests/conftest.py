@@ -256,7 +256,7 @@ def convex_slack_strata(n: int) -> tuple[Triangulation, list[tuple[int, int, Tri
 
 def _hull_cycle_from_zero(points: Sequence[Point]) -> list[int]:
     """Ids of the hull corners in ccw order, starting at vertex 0."""
-    cycle = [p.id for p in convex_hull(points)]
+    cycle = convex_hull(points)
     i = cycle.index(0)
     return cycle[i:] + cycle[:i]
 

@@ -398,6 +398,16 @@ def test_bench_cap_below_every_distance_skips_every_row(capsys):
     assert "bench: rows=15 agreed=0 disagreed=0 skipped=15" in captured.err
 
 
+def test_bench_skipped_and_answered_rows_share_one_key_order(capsys):
+    rows = []
+    for cap in ("0", "20"):
+        assert main(["bench", "--n", "4", "--trials", "1", "--cap", cap]) == 0
+        rows.append(json.loads(capsys.readouterr().out))
+    skipped, answered = rows
+    assert skipped["skipped"] is True and answered["skipped"] is False
+    assert list(skipped) == list(answered)
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--trials"])
 def test_bench_rejects_negative_counts(flag, capsys):
     assert main(["bench", "--n", "5", flag, "-1"]) == 2

@@ -389,32 +389,6 @@ def test_reference_does_not_call_the_library_search(monkeypatch):
     assert raw_distance(a, b, 6) == 4
 
 
-# states expanded by fpt_distance(.., 6) with the compositions walked as
-# a tree; running each composition from the start took 123/123/129/152/304
-STATES_AS_TREE = list(zip(GAP_PAIRS + [(14, 8, 2)], [108, 108, 114, 91, 254]))
-
-
-@pytest.mark.parametrize("pair, states", STATES_AS_TREE)
-def test_composition_tree_expands_no_more_states(pair, states):
-    a, b = generate_instance(pair[0], "random", pair[1], pair[2]).triangulations()
-    stats = SolverStats()
-    assert fpt_distance(a, b, 6, stats) is not None
-    assert stats.states_expanded <= states
-
-
-# the same with one search per tree node serving every part; one
-# iteration per node and part took the STATES_AS_TREE bounds above
-STATES_PER_NODE = list(zip(GAP_PAIRS + [(14, 8, 2)], [70, 71, 74, 63, 188]))
-
-
-@pytest.mark.parametrize("pair, states", STATES_PER_NODE)
-def test_node_search_expands_no_more_states(pair, states):
-    a, b = generate_instance(pair[0], "random", pair[1], pair[2]).triangulations()
-    stats = SolverStats()
-    assert fpt_distance(a, b, 6, stats) is not None
-    assert stats.states_expanded <= states
-
-
 # exact counters of bfs_distance (OracleStats.nodes_visited) and of
 # fpt_distance(.., 6) and of its unpruned reference raw_distance(.., 6)
 # (SolverStats: states_expanded, actions_generated, max_branching,

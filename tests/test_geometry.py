@@ -5,28 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import segments_cross, strictly_convex_quad
 from flipdist import Triangulation, scan_triangulation
-from flipdist.geometry import (
-    Point,
-    convex_hull,
-    cross,
-    hull_boundary_chain,
-    polygon_area2,
-)
-
-
-def P(x, y, pid=0):
-    return Point(pid, x, y)
+from flipdist.geometry import convex_hull, cross, hull_boundary_chain, polygon_area2
 
 
 def rand_point(rng):
-    return Point(0, rng.randrange(-50, 51), rng.randrange(-50, 51))
+    return rng.randrange(-50, 51), rng.randrange(-50, 51)
 
 
 def test_orientation_examples():
     # the sign of cross is the turn p -> q -> r: left, right, collinear
-    assert cross(P(0, 0), P(2, 0), P(1, 1)) > 0
-    assert cross(P(0, 0), P(2, 0), P(1, -1)) < 0
-    assert cross(P(0, 0), P(2, 2), P(1, 1)) == 0
+    assert cross((0, 0), (2, 0), (1, 1)) > 0
+    assert cross((0, 0), (2, 0), (1, -1)) < 0
+    assert cross((0, 0), (2, 2), (1, 1)) == 0
 
 
 def test_orientation_swap_flips_sign():
@@ -46,15 +36,15 @@ def test_orientation_cyclic_invariance():
 
 def test_segments_cross_examples():
     # square diagonals
-    assert segments_cross(P(0, 0), P(2, 2), P(2, 0), P(0, 2))
+    assert segments_cross((0, 0), (2, 2), (2, 0), (0, 2))
     # shared endpoint is not a crossing
-    assert not segments_cross(P(0, 0), P(2, 0), P(0, 0), P(0, 2))
+    assert not segments_cross((0, 0), (2, 0), (0, 0), (0, 2))
     # T-junction touches but does not cross
-    assert not segments_cross(P(0, 0), P(2, 0), P(1, 0), P(1, 2))
+    assert not segments_cross((0, 0), (2, 0), (1, 0), (1, 2))
     # collinear overlap reports no crossing
-    assert not segments_cross(P(0, 0), P(3, 0), P(1, 0), P(2, 0))
+    assert not segments_cross((0, 0), (3, 0), (1, 0), (2, 0))
     # disjoint
-    assert not segments_cross(P(0, 0), P(1, 0), P(0, 1), P(1, 1))
+    assert not segments_cross((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def test_segments_cross_symmetries():
@@ -68,13 +58,13 @@ def test_segments_cross_symmetries():
 
 
 def test_convex_quad_examples():
-    assert strictly_convex_quad(P(0, 0), P(1, 0), P(1, 1), P(0, 1))
+    assert strictly_convex_quad((0, 0), (1, 0), (1, 1), (0, 1))
     # dent: (2,1) lies inside the triangle of the other three
-    assert not strictly_convex_quad(P(0, 0), P(4, 0), P(2, 1), P(2, 3))
+    assert not strictly_convex_quad((0, 0), (4, 0), (2, 1), (2, 3))
     # collinear triple on the ring
-    assert not strictly_convex_quad(P(0, 0), P(1, 0), P(2, 0), P(0, 1))
+    assert not strictly_convex_quad((0, 0), (1, 0), (2, 0), (0, 1))
     # self-crossing order of a convex point set
-    assert not strictly_convex_quad(P(0, 0), P(1, 0), P(0, 1), P(1, 1))
+    assert not strictly_convex_quad((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def test_convex_quad_rotation_and_reversal_invariance():
@@ -89,31 +79,26 @@ def test_convex_quad_rotation_and_reversal_invariance():
 
 
 def test_convex_hull_strict_and_ccw():
-    pts = [P(0, 0, 0), P(2, 0, 1), P(2, 2, 2), P(0, 2, 3), P(1, 0, 4), P(1, 1, 5)]
+    pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)]
     hull = convex_hull(pts)
-    assert [p.id for p in hull] == [0, 1, 2, 3]
-    assert polygon_area2(hull) > 0  # ccw
+    assert hull == [0, 1, 2, 3]
+    assert polygon_area2([pts[v] for v in hull]) > 0  # ccw
 
 
 def test_hull_boundary_chain_keeps_collinear_points():
-    pts = [P(0, 0, 0), P(2, 0, 1), P(1, 0, 2), P(1, 2, 3)]
-    chain = hull_boundary_chain(pts)
-    assert [p.id for p in chain] == [0, 2, 1, 3]
+    assert hull_boundary_chain([(0, 0), (2, 0), (1, 0), (1, 2)]) == [0, 2, 1, 3]
 
 
 def test_hull_boundary_chain_degenerate_is_none():
-    pts = [P(0, 0, 0), P(1, 1, 1), P(2, 2, 2)]
-    assert hull_boundary_chain(pts) is None
+    assert hull_boundary_chain([(0, 0), (1, 1), (2, 2)]) is None
 
 
 def test_hull_boundary_chain_interior_point_excluded():
-    pts = [P(0, 0, 0), P(4, 0, 1), P(2, 3, 2), P(2, 1, 3)]
-    chain = hull_boundary_chain(pts)
-    assert [p.id for p in chain] == [0, 1, 2]
+    assert hull_boundary_chain([(0, 0), (4, 0), (2, 3), (2, 1)]) == [0, 1, 2]
 
 
 def test_convex_hull_of_collinear_points_is_empty():
-    assert convex_hull([P(0, 0, 0), P(1, 1, 1), P(2, 2, 2)]) == []
+    assert convex_hull([(0, 0), (1, 1), (2, 2)]) == []
 
 
 # -- properties of the monotone chain sweep, on small grids where collinear
@@ -125,16 +110,12 @@ grid_coords = st.lists(
 SWEEP = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 
-def _points(coords):
-    return [P(x, y, i) for i, (x, y) in enumerate(coords)]
-
-
 def _on_segment(u, v, w):
     """w lies on the closed segment uv."""
     return (
         cross(u, v, w) == 0
-        and min(u.x, v.x) <= w.x <= max(u.x, v.x)
-        and min(u.y, v.y) <= w.y <= max(u.y, v.y)
+        and min(u[0], v[0]) <= w[0] <= max(u[0], v[0])
+        and min(u[1], v[1]) <= w[1] <= max(u[1], v[1])
     )
 
 
@@ -146,11 +127,11 @@ def _boundary_ids(pts):
     """By definition: w is on the hull boundary iff it lies on a segment uv
     with no point strictly right of u->v."""
     return {
-        w.id
+        i
         for u in pts
         for v in pts
         if u != v and _no_point_right_of(pts, u, v)
-        for w in pts
+        for i, w in enumerate(pts)
         if _on_segment(u, v, w)
     }
 
@@ -161,31 +142,28 @@ def _collinear(pts):
 
 @SWEEP
 @given(grid_coords)
-def test_hull_boundary_chain_is_the_boundary_in_ccw_order(coords):
-    pts = _points(coords)
+def test_hull_boundary_chain_is_the_boundary_in_ccw_order(pts):
     chain = hull_boundary_chain(pts)
     if len(pts) < 3 or _collinear(pts):
         assert chain is None
         return
-    ids = [p.id for p in chain]
-    assert len(ids) == len(set(ids))
-    assert set(ids) == _boundary_ids(pts)
-    assert chain[0] == min(pts, key=lambda p: (p.x, p.y))
+    assert len(chain) == len(set(chain))
+    assert set(chain) == _boundary_ids(pts)
+    assert pts[chain[0]] == min(pts)
     # every chain edge, the closing one included, keeps all points on its left
     for u, v in zip(chain, chain[1:] + chain[:1]):
-        assert _no_point_right_of(pts, u, v)
+        assert _no_point_right_of(pts, pts[u], pts[v])
 
 
 @SWEEP
 @given(grid_coords)
-def test_convex_hull_is_the_chain_corners(coords):
-    pts = _points(coords)
+def test_convex_hull_is_the_chain_corners(pts):
     chain = hull_boundary_chain(pts) or []
     # a corner lies strictly inside no segment between two other points
     corners = [
         w
         for w in chain
-        if not any(_on_segment(u, v, w) for u in pts for v in pts if w not in (u, v))
+        if not any(_on_segment(u, v, pts[w]) for u in pts for v in pts if pts[w] not in (u, v))
     ]
     assert convex_hull(pts) == corners
 
@@ -193,7 +171,6 @@ def test_convex_hull_is_the_chain_corners(coords):
 @SWEEP
 @given(grid_coords)
 def test_build_accepts_the_scan_triangulation(coords):
-    pts = _points(coords)
-    if len(pts) < 3 or _collinear(pts):
+    if len(coords) < 3 or _collinear(coords):
         return
     Triangulation.build(coords, scan_triangulation(coords))

@@ -15,7 +15,7 @@ from flipdist import (
     render_instance,
     scan_triangulation,
 )
-from flipdist.geometry import Point, convex_hull, cross
+from flipdist.geometry import convex_hull, cross
 from flipdist.instances import GenerationError, Instance
 
 SQUARE_TEXT = """\
@@ -150,16 +150,14 @@ def test_generate_convex_positions_at_large_n():
     # the radius grows as n**3, so rounding to the integer grid keeps
     # every point a hull corner at the default span
     inst = generate_instance(200, "convex", 0, 1)
-    pts = [Point(i, x, y) for i, (x, y) in enumerate(inst.points)]
-    assert len(convex_hull(pts)) == 200
+    assert len(convex_hull(inst.points)) == 200
 
 
 def test_generate_general_position():
     for n, seed in [(8, 4200), (8, 4201), (12, 4202), (20, 4203), (40, 4204), (40, 4205)]:
         inst = generate_instance(n, "random", 0, seed)
-        pts = [Point(i, x, y) for i, (x, y) in enumerate(inst.points)]
         assert len(set(inst.points)) == n
-        for p, q, r in itertools.combinations(pts, 3):
+        for p, q, r in itertools.combinations(inst.points, 3):
             assert cross(p, q, r) != 0
 
 
