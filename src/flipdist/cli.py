@@ -49,7 +49,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     initial, _ = inst.triangulations()
     print(
         f"ok: n={len(initial.ps)} h={initial.ps.hull_size} "
-        f"triangles={len(initial.triangles)} k={inst.k if inst.k is not None else '-'}"
+        f"triangles={initial.ps.expected_triangles} k={inst.k if inst.k is not None else '-'}"
     )
     return EXIT_OK
 
@@ -130,11 +130,8 @@ def cmd_dag(args: argparse.Namespace) -> int:
     seq = apply_sequence(initial, flips)
     dag = build_dag(seq)
     print(f"nodes {dag.node_count}")
-    for rec in seq.records:
-        print(
-            f"{rec.position} removed={rec.removed[0]}-{rec.removed[1]} "
-            f"created={rec.created[0]}-{rec.created[1]}"
-        )
+    for pos, ((a, b), (c, d)) in enumerate(seq.records, start=1):
+        print(f"{pos} removed={a}-{b} created={c}-{d}")
     print(f"arcs {len(dag.arcs)}")
     for i, j in dag.arcs:
         print(f"{i} -> {j}")

@@ -11,8 +11,7 @@ to check it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .triangulation import (
     Edge,
@@ -31,35 +30,23 @@ class InvalidFlipSequence(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class FlipRecord:
-    """One executed flip: its 1-based position, removed edge, created diagonal."""
+class FlipRecord(NamedTuple):
+    """One executed flip: the edge it removed and the diagonal it created."""
 
-    position: int
     removed: Edge
     created: Edge
 
 
 class FlipSequence:
-    """A validated flip sequence with every intermediate triangulation.
+    """A validated flip sequence: its base, its result and one record per
+    flip; records[i - 1] is flip i, so a flip's position is its index."""
 
-    snapshots[i] is the triangulation after the first i flips, so
-    snapshots[0] is the base and snapshots[-1] the result.
-    """
+    __slots__ = ("base", "final", "records")
 
-    __slots__ = ("snapshots", "records")
-
-    def __init__(self, snapshots: Sequence[Triangulation], records: Sequence[FlipRecord]):
-        self.snapshots = tuple(snapshots)
+    def __init__(self, base: Triangulation, final: Triangulation, records: Sequence[FlipRecord]):
+        self.base = base
+        self.final = final
         self.records = tuple(records)
-
-    @property
-    def base(self) -> Triangulation:
-        return self.snapshots[0]
-
-    @property
-    def final(self) -> Triangulation:
-        return self.snapshots[-1]
 
     def edges(self) -> list[Edge]:
         return [rec.removed for rec in self.records]
@@ -73,7 +60,6 @@ class FlipSequence:
 
 def apply_sequence(base: Triangulation, edges: Iterable[Edge]) -> FlipSequence:
     """Apply flips in order; raises InvalidFlipSequence at the first bad position."""
-    snapshots = [base]
     records = []
     cur = base
     for pos, raw in enumerate(edges, start=1):
@@ -82,9 +68,8 @@ def apply_sequence(base: Triangulation, edges: Iterable[Edge]) -> FlipSequence:
             cur, created = cur.apply_flip(e)
         except InadmissibleFlip as exc:
             raise InvalidFlipSequence(pos, str(exc)) from exc
-        records.append(FlipRecord(pos, e, created))
-        snapshots.append(cur)
-    return FlipSequence(snapshots, records)
+        records.append(FlipRecord(e, created))
+    return FlipSequence(base, cur, records)
 
 
 class FlipDag:
@@ -127,17 +112,17 @@ def build_dag(seq: FlipSequence) -> FlipDag:
     """
     creator: dict[Edge, int] = {}
     arcs = []
-    for rec in seq.records:
-        (a, b), (c, d) = rec.removed, rec.created
-        for e in (rec.removed, make_edge(a, c), make_edge(b, c), make_edge(a, d), make_edge(b, d)):
+    for j, (removed, created) in enumerate(seq.records, start=1):
+        (a, b), (c, d) = removed, created
+        for e in (removed, make_edge(a, c), make_edge(b, c), make_edge(a, d), make_edge(b, d)):
             if e in creator:
-                arcs.append((creator[e], rec.position))
-        creator[rec.created] = rec.position
+                arcs.append((creator[e], j))
+        creator[created] = j
     return FlipDag(len(seq.records), arcs)
 
 
 def components(dag: FlipDag) -> list[tuple[int, ...]]:
-    """Weakly connected components, each sorted, ordered by smallest node."""
+    """Weakly connected components, each ascending, ordered by smallest node."""
     parent = {i: i for i in dag.nodes()}
 
     def find(x: int) -> int:
@@ -150,10 +135,12 @@ def components(dag: FlipDag) -> list[tuple[int, ...]]:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
+    # nodes go in ascending order, so each group is ascending and the dict
+    # keeps the groups in the order of their smallest nodes
     groups: dict[int, list[int]] = {}
     for i in dag.nodes():
         groups.setdefault(find(i), []).append(i)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+    return [tuple(g) for g in groups.values()]
 
 
 def classify_essential(dag: FlipDag, seq: FlipSequence) -> list[tuple[tuple[int, ...], bool]]:

@@ -218,11 +218,10 @@ def generate_instance(
     points = _convex_points(rng, n, span) if hull == "convex" else _random_points(rng, n, span)
     initial = scan_triangulation(points)
     ps = PointSet(points)
-    t0 = Triangulation.build(ps, initial)
-    cur = t0
+    cur = Triangulation.build(ps, initial)
     for _ in range(scramble):
         choices = cur.admissible_edges()
         if not choices:
             break
         cur, _ = cur.apply_flip(rng.choice(choices))
-    return Instance(points, sorted(t0.triangles), sorted(cur.triangles), None)
+    return Instance(points, initial, sorted(cur.triangles), None)

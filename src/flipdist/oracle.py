@@ -192,9 +192,10 @@ def enumerate_minimal_solutions(
     """Up to `limit` shortest flip sequences from start to goal, in
     lexicographic order of their edge lists.
 
-    `distance` must be the exact flip distance (bfs_distance).  Works by
-    labelling every triangulation within distance-1 of the goal with its
-    distance to the goal, then walking label-descending paths from start.
+    `distance` must be the exact flip distance (bfs_distance); any other
+    raises ValueError.  Works by labelling every triangulation within
+    distance-1 of the goal with its distance to the goal, then walking
+    label-descending paths from start.
     """
     ensure_same_points(start, goal)
     if limit < 1:
@@ -216,7 +217,10 @@ def enumerate_minimal_solutions(
                 if len(found) >= limit:
                     return
 
-    walk(start, distance, [])
+    # a start labelled below `distance` is nearer than that: no geodesic has
+    # `distance` flips, yet label-descending walks of that length exist
+    if labels.get(start.edge_mask, distance) == distance:
+        walk(start, distance, [])
     if not found:
         raise ValueError("no geodesics found; `distance` does not match the pair")
     return [apply_sequence(start, edges) for edges in found]

@@ -304,6 +304,14 @@ def share_triangle(tri: Triangulation, e1, e2) -> bool:
     return e1 in tri and e2 in tri and e2 in tri.edges_sharing_triangle(e1)
 
 
+def states(seq: FlipSequence) -> list[Triangulation]:
+    """states(seq)[i] is the triangulation after the first i flips of seq."""
+    out = [seq.base]
+    for rec in seq.records:
+        out.append(out[-1].apply_flip(rec.removed)[0])
+    return out
+
+
 def replay(seq: FlipSequence, order: Sequence[int]) -> Triangulation:
     """The recorded flips of seq applied in the order of their 1-based positions."""
     return apply_sequence(seq.base, [seq.records[i - 1].removed for i in order]).final

@@ -40,6 +40,7 @@ from conftest import (
     searched_compositions,
     segments_cross,
     share_triangle,
+    states,
 )
 
 ORACLE_BUDGET_SECONDS = 600.0
@@ -182,6 +183,7 @@ def test_criterion_5_path_conditions(minimal_solutions):
     violations = 0
     for seq, dag in minimal_solutions:
         pts = seq.base.ps.points
+        before = states(seq)
         for comp in components(dag):
             for ai, i in enumerate(comp):
                 for h in comp[ai + 1 :]:
@@ -191,7 +193,7 @@ def test_criterion_5_path_conditions(minimal_solutions):
                         pts[fi.removed[0]], pts[fi.removed[1]],
                     )
                     shares = any(
-                        share_triangle(seq.snapshots[j], fi.created, fh.removed)
+                        share_triangle(before[j], fi.created, fh.removed)
                         for j in range(i, h)
                     )
                     implies_path = (

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     indegrees,
@@ -12,6 +13,7 @@ from conftest import (
     replay,
     sample_topological_sorts,
     share_triangle,
+    states,
 )
 from flipdist import (
     FlipDag,
@@ -36,12 +38,11 @@ def test_apply_sequence_empty(square):
     assert seq.base is square and seq.final is square
 
 
-def test_apply_sequence_records_and_snapshots(square):
+def test_apply_sequence_records(square):
     seq = apply_sequence(square, [(0, 2), (1, 3)])
-    assert [r.removed for r in seq.records] == [(0, 2), (1, 3)]
-    assert [r.created for r in seq.records] == [(1, 3), (0, 2)]
-    assert [r.position for r in seq.records] == [1, 2]
-    assert len(seq.snapshots) == 3
+    # one (removed, created) pair per flip; flip i is records[i - 1]
+    assert seq.records == (((0, 2), (1, 3)), ((1, 3), (0, 2)))
+    assert [r.removed for r in seq.records] == seq.edges() == [(0, 2), (1, 3)]
     assert seq.final == square  # flip and flip back
 
 
@@ -102,10 +103,11 @@ def _dag_by_definition(seq):
     between i and j, and flip j removes it or an edge sharing a triangle
     with it just before j."""
     recs = seq.records
+    before = states(seq)
     arcs = []
     for j in range(2, len(recs) + 1):
         removed_j = recs[j - 1].removed
-        before_j = seq.snapshots[j - 1]
+        before_j = before[j - 1]
         for i in range(1, j):
             made_i = recs[i - 1].created
             if any(recs[p - 1].removed == made_i for p in range(i + 1, j)):
@@ -187,6 +189,41 @@ def test_components_and_path_exists():
     assert not path_exists(dag, 3, 1)
     with pytest.raises(ValueError, match="not in the DAG"):
         path_exists(dag, 0, 2)
+
+
+@st.composite
+def forward_dags(draw):
+    n = draw(st.integers(1, 12))
+    ends = st.integers(1, n)
+    arcs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    return FlipDag(n, [(min(a), max(a)) for a in arcs if a[0] != a[1]])
+
+
+def _components_by_definition(dag):
+    """Flood fill over the arcs taken both ways, from each unreached node
+    in ascending order; each component is listed ascending."""
+    near = {i: set() for i in dag.nodes()}
+    for i, j in dag.arcs:
+        near[i].add(j)
+        near[j].add(i)
+    seen, out = set(), []
+    for root in dag.nodes():
+        if root in seen:
+            continue
+        comp, todo = {root}, [root]
+        while todo:
+            for nb in near[todo.pop()] - comp:
+                comp.add(nb)
+                todo.append(nb)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(forward_dags())
+def test_components_match_definition(dag):
+    assert components(dag) == _components_by_definition(dag)
 
 
 def test_component_concatenation_replays(hexagon):

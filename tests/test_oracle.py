@@ -244,3 +244,15 @@ def test_minimal_solutions_wrong_distance_rejected(square):
     flipped, _ = square.apply_flip((0, 2))
     with pytest.raises(ValueError):
         enumerate_minimal_solutions(square, flipped, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_minimal_solutions_distance_above_true_rejected(seed):
+    # a start nearer than `distance` has label-descending walks of that
+    # length (seed 0: d = 3, three 4-flip walks), but none is a geodesic
+    a, b = generate_instance(7, "random", 3, seed).triangulations()
+    d = bfs_distance(a, b)
+    assert enumerate_minimal_solutions(a, b, d)
+    for wrong in (d + 1, d + 2):
+        with pytest.raises(ValueError, match="does not match"):
+            enumerate_minimal_solutions(a, b, wrong)
