@@ -203,7 +203,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if disagreed == 0 else EXIT_REJECT
 
 
-# (name, help, options, handler): each option is (flag, add_argument keywords)
+# (name, help, options, handler): each option is (flag, add_argument keywords).
+# A first token that names a command gets only that command's parser; any
+# other token gets all five, bare.  _METAVAR names all five in the top-level
+# usage, which argparse would otherwise build from the parsers added.
 COMMANDS = (
     ("validate", "parse and validate an instance file", (("file", {}),), cmd_validate),
     ("gen", "generate a random instance on stdout", (
@@ -230,21 +233,25 @@ COMMANDS = (
         ("--cap", dict(type=int, default=DEFAULT_CAP)),
     ), cmd_bench),
 )
+_METAVAR = "{" + ",".join(name for name, *_ in COMMANDS) + "}"
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser for an argv whose first token is `command`: every subcommand
-    is listed, as the top-level help and errors name them all, but only
-    `command`'s options, its -h included, are registered, since no other
-    subcommand can run."""
+    """The parser for an argv whose first token is `command`.  A subcommand
+    gets only its own parser, with -h and options, since no other can run;
+    the fixed metavar keeps all five commands in the top-level usage that
+    unrecognized arguments print.  Any other token (none, -h, an unknown
+    word) gets every subcommand bare and no metavar, which would rename
+    `command` in its errors."""
     parser = argparse.ArgumentParser(
         prog="flipdist",
         description="Flip distance between triangulations of a planar point set.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text, options, handler in COMMANDS:
-        p = sub.add_parser(name, help=text, add_help=name == command)
-        if name == command:
+    chosen = [c for c in COMMANDS if c[0] == command]
+    sub = parser.add_subparsers(dest="command", required=True, metavar=_METAVAR if chosen else None)
+    for name, text, options, handler in chosen or COMMANDS:
+        p = sub.add_parser(name, help=text, add_help=bool(chosen))
+        if chosen:
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
             p.set_defaults(func=handler)

@@ -1,8 +1,12 @@
 """Hand mutants, rerun against the tier-1 suite: three FPT search rules
 that no answer test catches, only pinned state counts (M4, M5) and the
 independent statement of the machine's steps (M11); the zero-slack root
-cut stretched to k = |changed edges| + 1, where it is unsound; and two
-faults in the `distance` command's record and exit code.
+cut stretched to k = |changed edges| + 1, where it is unsound; A* without
+its late pop, which never flips a goal edge and which only the n = 50
+gadget's state count (228 against 2,029) catches; two faults in the
+`distance` command's record and exit code; and `build_parser` without its
+fixed metavar, which names only the invoked command in the top-level
+usage that unrecognized arguments print.
 
 Run from the root of a checkout:
 
@@ -59,6 +63,13 @@ MUTANTS = [
         "0 < k <= len(order) + 1 and not any(",
     ),
     (
+        "no-late-pop",
+        "A* never queues its late pop, so no state flips a goal edge",
+        "oracle.py",
+        "buckets[i + 2].append((g, m, parent, e, True))",
+        "pass",
+    ),
+    (
         "oracle-k",
         "under --engine oracle, distance writes the oracle distance into the record's k",
         "cli.py",
@@ -73,6 +84,13 @@ MUTANTS = [
         "cli.py",
         'print("distance: engines disagree (this is a bug)", file=sys.stderr)\n        return EXIT_REJECT',
         'print("distance: engines disagree (this is a bug)", file=sys.stderr)\n        return EXIT_OK',
+    ),
+    (
+        "no-metavar",
+        "build_parser drops the fixed metavar",
+        "cli.py",
+        "metavar=_METAVAR if chosen else None",
+        "metavar=None",
     ),
 ]
 

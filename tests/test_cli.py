@@ -98,16 +98,49 @@ def test_command_help_lists_its_options(command, capsys):
 
 def test_only_the_invoked_command_gets_options(square_file, monkeypatch, capsys):
     added = []
-    real = argparse.ArgumentParser.add_argument
+    built = []
+    real_add = argparse.ArgumentParser.add_argument
+    real_init = argparse.ArgumentParser.__init__
 
-    def counting(self, *flags, **kwargs):
+    def counting_add(self, *flags, **kwargs):
         added.append(flags[0])
-        return real(self, *flags, **kwargs)
+        return real_add(self, *flags, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["validate", square_file]) == 0
     # one -h for the top level and one for validate, then validate's file
     assert sorted(added) == ["-h"] * 2 + ["file"]
+    # the top level and validate: no other subcommand's parser is built
+    assert built == ["flipdist", "flipdist validate"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    # the top-level help lists all five, so it builds them all
+    assert len(built) == 6
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["distance", "f", "--bogus"], "--bogus"),
+    (["validate", "f", "extra"], "extra"),
+    (["-x", "distance"], "-x"),
+], ids=["distance", "validate", "before-command"])
+def test_unrecognized_arguments_show_the_top_level_usage(argv, extra, capsys):
+    # the top-level parser reports them, so its usage names all five commands
+    # even when only the invoked one was built
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: flipdist [-h] {validate,gen,distance,dag,bench} ...\n"
+        f"flipdist: error: unrecognized arguments: {extra}\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
