@@ -24,6 +24,8 @@ from .geometry import (
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
+# build's edge and apex tuples, one immutable object per value: n(n + 1)/2 at most for the largest n
+_SHARED: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 class InvalidTriangulation(ValueError):
@@ -61,14 +63,14 @@ class PointSet:
     `points` is the validated tuple of (x, y) int pairs; a point's id is
     its index there.  Construction validates coordinates (integers within
     32-bit range, no duplicates, not all collinear) and precomputes
-    everything every triangulation of the set has in common: the boundary
-    edges of the hull chain, the triangle count forced by Euler's formula
-    and the hull's area.  Nothing is added after construction.
+    everything every triangulation of the set has in common: the edge_bit
+    mask of the hull chain's boundary edges, the triangle count forced by
+    Euler's formula and the hull's area.  Nothing is added after construction.
     """
 
     __slots__ = (
         "points",
-        "boundary_edges",
+        "boundary_mask",
         "hull_size",
         "expected_triangles",
         "hull_area2",
@@ -97,9 +99,8 @@ class PointSet:
         chain = hull_boundary_chain(pts)
         if chain is None:
             raise InvalidTriangulation("all points are collinear")
-        h = len(chain)
-        self.boundary_edges = frozenset(make_edge(chain[i], chain[(i + 1) % h]) for i in range(h))
-        self.hull_size = h
+        self.hull_size = h = len(chain)
+        self.boundary_mask = sum(edge_bit(make_edge(chain[i], chain[(i + 1) % h])) for i in range(h))
         # Euler count; h counts every point on the hull boundary, not just corners.
         self.expected_triangles = 2 * len(pts) - h - 2
         self.hull_area2 = polygon_area2([pts[v] for v in chain])
@@ -207,9 +208,8 @@ class Triangulation:
 
         # pass 2, per edge: incidence, opposite sides, the boundary, the
         # sorted apexes and the mask
-        boundary: set[Edge] = set()
+        boundary = mask = 0
         opp_sorted: dict[Edge, tuple[int, ...]] = {}
-        mask = 0
         for e, ws in opp.items():
             if len(ws) > 2:
                 raise InvalidTriangulation(f"bad edge incidence: edge {e} is in {len(ws)} triangles")
@@ -221,13 +221,14 @@ class Triangulation:
                     raise InvalidTriangulation(
                         f"overlapping triangles {make_triangle(a, b, c)} and {make_triangle(a, b, d)}"
                     )
-                opp_sorted[e] = (c, d) if c < d else (d, c)
+                ws = (c, d) if c < d else (d, c)
             else:
-                boundary.add(e)
-                opp_sorted[e] = (ws[0],)
+                boundary |= edge_bit(e)
+                ws = (ws[0],)
+            opp_sorted[_SHARED.setdefault(e, e)] = _SHARED.setdefault(ws, ws)
             mask |= edge_bit(e)
 
-        if boundary != ps.boundary_edges:
+        if boundary != ps.boundary_mask:
             raise InvalidTriangulation(
                 "bad edge incidence: boundary edges do not match the hull boundary"
             )
@@ -335,7 +336,7 @@ class Triangulation:
         c, d = created
         opp = dict(self._opp)
         del opp[e]
-        opp[created] = (a, b)
+        opp[created] = e
         # The four quadrilateral sides keep existing; each swaps one apex.
         for x, y, old, new in ((a, c, b, d), (b, c, a, d), (a, d, b, c), (b, d, a, c)):
             side = make_edge(x, y)

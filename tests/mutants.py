@@ -4,9 +4,11 @@ independent statement of the machine's steps (M11); the zero-slack root
 cut stretched to k = |changed edges| + 1, where it is unsound; A* without
 its late pop, which never flips a goal edge and which only the n = 50
 gadget's state count (228 against 2,029) catches; two faults in the
-`distance` command's record and exit code; and `build_parser` without its
+`distance` command's record and exit code; `build_parser` without its
 fixed metavar, which names only the invoked command in the top-level
-usage that unrecognized arguments print.
+usage that unrecognized arguments print; and `Triangulation.build`
+without its shared edge and apex tuples, which changes no answer and
+only the test that checks object identity catches.
 
 Run from the root of a checkout:
 
@@ -91,6 +93,13 @@ MUTANTS = [
         "cli.py",
         "metavar=_METAVAR if chosen else None",
         "metavar=None",
+    ),
+    (
+        "no-shared-tuples",
+        "Triangulation.build stores fresh edge and apex tuples instead of the shared ones",
+        "triangulation.py",
+        "opp_sorted[_SHARED.setdefault(e, e)] = _SHARED.setdefault(ws, ws)",
+        "opp_sorted[e] = ws",
     ),
 ]
 

@@ -35,7 +35,7 @@ def test_build_square(square):
     assert sorted(square.triangles) == [(0, 1, 2), (0, 2, 3)]
     assert square.edges() == ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
     assert (0, 2) in square and (1, 3) not in square
-    assert (0, 1) in square.ps.boundary_edges and (0, 2) not in square.ps.boundary_edges
+    assert square.ps.boundary_mask == sum(map(edge_bit, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
 def test_build_reports_overlapping_triangles():
@@ -169,6 +169,20 @@ def test_build_shares_point_set_object(pentagon_ps):
     a = pentagon_fan(pentagon_ps, 0)
     b = pentagon_fan(pentagon_ps, 1)
     assert a.ps is b.ps
+
+
+def test_builds_share_edge_and_apex_tuples():
+    # a triangulation's edge and apex tuples are the ones every earlier
+    # build made, so many triangulations of small point sets store each
+    # value once; flips pass the flipped edge on as the created diagonal's
+    # apexes
+    triangles = [(0, 1, 5), (1, 4, 5), (1, 2, 4), (2, 3, 4)]
+    a, b = (Triangulation.build(HEXAGON_POINTS, triangles) for _ in range(2))
+    assert a.edges() == b.edges() and all(x is y for x, y in zip(a.edges(), b.edges()))
+    interior = a.admissible_edges()
+    assert interior and all(a.flip_preview(e)[0] is b.flip_preview(e)[0] for e in interior)
+    flipped, created = a.apply_flip(interior[0])
+    assert flipped.flip_preview(created)[0] is interior[0]
 
 
 def test_point_set_edge_table_memory():
@@ -318,7 +332,7 @@ def _preview_verdicts(tri: Triangulation) -> list[bool]:
     pts = tri.ps.points
     verdicts = []
     for e in tri.edges():
-        if e in tri.ps.boundary_edges:
+        if tri.ps.boundary_mask & edge_bit(e):
             continue
         u, v = e
         c, d = sorted({w for side in tri.edges_sharing_triangle(e) for w in side} - {u, v})
@@ -370,7 +384,7 @@ def test_edges_sharing_triangle_counts_exhaustive(pentagon_ps):
     for seed_tri in seeds:
         for tri in enumerate_triangulations(seed_tri):
             for e in tri.edges():
-                expected = 2 if e in tri.ps.boundary_edges else 4
+                expected = 2 if tri.ps.boundary_mask & edge_bit(e) else 4
                 apexes = [w for t in tri.triangles if set(e) < set(t) for w in t if w not in e]
                 sides = tuple(sorted(make_edge(v, w) for v in e for w in apexes))
                 assert len(sides) == expected
