@@ -36,8 +36,9 @@ EXIT_BUDGET = 3
 
 
 def _read_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    # decoded once, no TextIOWrapper: parse_instance splits \r\n and \r itself
+    with open(path, "rb") as fh:
+        return parse_instance(fh.read().decode("utf-8"))
 
 
 def _emit(record: dict) -> None:
@@ -248,7 +249,10 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         description="Flip distance between triangulations of a planar point set.",
     )
     chosen = [c for c in COMMANDS if c[0] == command]
-    sub = parser.add_subparsers(dest="command", required=True, metavar=_METAVAR if chosen else None)
+    # prog given, argparse formats no usage to derive it
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=_METAVAR if chosen else None, prog=parser.prog
+    )
     for name, text, options, handler in chosen or COMMANDS:
         p = sub.add_parser(name, help=text, add_help=bool(chosen))
         if chosen:

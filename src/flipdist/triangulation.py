@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     Point,
-    cross,
     hull_boundary_chain,
     polygon_area2,
     COORD_LIMIT,
@@ -164,13 +163,19 @@ class Triangulation:
         The triangles therefore tile the hull, and with T = 2n - h - 2
         Euler's formula leaves no point unused and no T-junction; the
         unused-point and area checks are cheap extras.
+
+        Pass 1 takes one orientation t = cross(a, b, c) per sorted triangle
+        a < b < c.  As cross(a, c, b) = -t and cross(b, c, a) = t, c lies on
+        side t of ab, b on side -t of ac and a on side t of bc; each apex w
+        is filed as 2w + s, s = 1 when w lies left of its edge, and pass 2's
+        opposite-sides test compares two recorded sides, not two crosses.
         """
         ps = points if isinstance(points, PointSet) else PointSet(points)
         n = len(ps)
         pts = ps.points
 
-        # pass 1, per triangle: its own checks, the apex lists, the used
-        # vertices and the area sum
+        # pass 1, per triangle: its own checks, the apex lists with their
+        # sides, the used vertices and the area sum
         tri_seen: set[Triangle] = set()
         opp: dict[Edge, list[int]] = {}
         used: set[int] = set()
@@ -182,24 +187,32 @@ class Triangulation:
                 raise InvalidTriangulation(f"non-integer vertex id in triangle {raw!r}") from None
             if len(ids) != 3:
                 raise InvalidTriangulation(f"triangle needs 3 vertices, got {raw!r}")
-            for v in ids:
-                if not 0 <= v < n:
-                    raise InvalidTriangulation(f"triangle {ids} references unknown point {v}")
-            t = make_triangle(*ids)
-            a, b, c = t
+            a, b, c = ids  # sorted in place: make_triangle without the call
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            if a < 0 or c >= n:
+                v = next(v for v in ids if not 0 <= v < n)
+                raise InvalidTriangulation(f"triangle {ids} references unknown point {v}")
             if a == b or b == c:
                 raise InvalidTriangulation(f"degenerate triangle {ids}: repeated vertex")
-            turn = cross(pts[a], pts[b], pts[c])
+            (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+            turn = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            t = (a, b, c)
             if turn == 0:
                 raise InvalidTriangulation(f"degenerate triangle {t}: collinear points")
             if t in tri_seen:
                 raise InvalidTriangulation(f"duplicate triangle {t}")
             tri_seen.add(t)
-            opp.setdefault((a, b), []).append(c)
-            opp.setdefault((a, c), []).append(b)
-            opp.setdefault((b, c), []).append(a)
+            s = turn > 0
+            opp.setdefault((a, b), []).append(c + c + s)
+            opp.setdefault((a, c), []).append(b + b + 1 - s)
+            opp.setdefault((b, c), []).append(a + a + s)
             used.update(t)
-            area2 += abs(turn)
+            area2 += turn if s else -turn
 
         if len(tri_seen) != ps.expected_triangles:
             raise InvalidTriangulation(
@@ -214,19 +227,21 @@ class Triangulation:
             if len(ws) > 2:
                 raise InvalidTriangulation(f"bad edge incidence: edge {e} is in {len(ws)} triangles")
             a, b = e
+            bit = 1 << (b * (b - 1) // 2 + a)  # edge_bit(e)
             if len(ws) == 2:
                 c, d = ws
-                # both crosses are nonzero: no triangle is degenerate
-                if (cross(pts[a], pts[b], pts[c]) > 0) == (cross(pts[a], pts[b], pts[d]) > 0):
+                if not (c ^ d) & 1:  # both apexes on one side of e
                     raise InvalidTriangulation(
-                        f"overlapping triangles {make_triangle(a, b, c)} and {make_triangle(a, b, d)}"
+                        f"overlapping triangles {tuple(sorted((a, b, c >> 1)))} and "
+                        f"{tuple(sorted((a, b, d >> 1)))}"
                     )
+                c, d = c >> 1, d >> 1
                 ws = (c, d) if c < d else (d, c)
             else:
-                boundary |= edge_bit(e)
-                ws = (ws[0],)
+                boundary |= bit
+                ws = (ws[0] >> 1,)
             opp_sorted[_SHARED.setdefault(e, e)] = _SHARED.setdefault(ws, ws)
-            mask |= edge_bit(e)
+            mask |= bit
 
         if boundary != ps.boundary_mask:
             raise InvalidTriangulation(
@@ -295,23 +310,27 @@ class Triangulation:
         else None: e must be present, interior, and its quadrilateral
         strictly convex.  O(1), and the flipped triangulation is not built.
 
-        Convexity takes two cross products.  The apexes c, d of an interior
-        edge uv lie strictly on opposite sides of it, so the quadrilateral
-        u, c, v, d is strictly convex exactly when u and v lie strictly on
-        opposite sides of cd: then the diagonals cross properly, and no
-        three of the four points are collinear.  The premise holds for
-        every triangulation: build's "overlapping triangles" check
-        establishes it, and an admissible flip keeps it.  The created
-        diagonal cd has apexes u and v, which cd splits; each side, say
-        uc, trades apex v for d, and convexity puts d on v's side of uc.
+        Convexity is one integer expression, cross(c, d, u) * cross(c, d, v)
+        inlined.  The apexes c, d of an interior edge uv lie strictly on opposite
+        sides of it, so the quadrilateral u, c, v, d is strictly convex
+        exactly when u and v lie strictly on opposite sides of cd: then the
+        diagonals cross properly, and no three of the four points are
+        collinear.  The premise holds for every triangulation: build's
+        "overlapping triangles" check establishes it, and an admissible
+        flip keeps it.  The created diagonal cd has apexes u and v, which
+        cd splits; each side, say uc, trades apex v for d, and convexity
+        puts d on v's side of uc.
         """
         ws = self._opp.get(e)  # e's apexes, already sorted
         if ws is None or len(ws) == 1:
             return None
         (u, v), (c, d) = e, ws
         pts = self.ps.points
-        pc, pd = pts[c], pts[d]
-        if cross(pc, pd, pts[u]) * cross(pc, pd, pts[v]) >= 0:
+        (cx, cy), (dx, dy), (ux, uy) = pts[c], pts[d], pts[u]
+        vx, vy = pts[v]
+        dx -= cx
+        dy -= cy
+        if (dx * (uy - cy) - dy * (ux - cx)) * (dx * (vy - cy) - dy * (vx - cx)) >= 0:
             return None
         # edge_bit inlined: the searches preview every edge
         return ws, self.edge_mask ^ (1 << (v * (v - 1) // 2 + u)) ^ (1 << (d * (d - 1) // 2 + c))
@@ -334,12 +353,12 @@ class Triangulation:
         created, mask = preview
         a, b = e
         c, d = created
-        opp = dict(self._opp)
+        opp = self._opp.copy()
         del opp[e]
         opp[created] = e
         # The four quadrilateral sides keep existing; each swaps one apex.
         for x, y, old, new in ((a, c, b, d), (b, c, a, d), (a, d, b, c), (b, d, a, c)):
-            side = make_edge(x, y)
+            side = (x, y) if x < y else (y, x)
             sw = opp[side]
             if len(sw) == 1:
                 opp[side] = (new,)

@@ -291,7 +291,7 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 
 def strictly_convex_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Reference for flip_preview's two-cross test: a, b, c, d in this
+    """Reference for flip_preview's convexity test: a, b, c, d in this
     cyclic order form a strictly convex quadrilateral iff all four
     consecutive turns have one nonzero sign (a collinear triple fails)."""
     ring = (a, b, c, d)

@@ -6,9 +6,12 @@ its late pop, which never flips a goal edge and which only the n = 50
 gadget's state count (228 against 2,029) catches; two faults in the
 `distance` command's record and exit code; `build_parser` without its
 fixed metavar, which names only the invoked command in the top-level
-usage that unrecognized arguments print; and `Triangulation.build`
+usage that unrecognized arguments print; `Triangulation.build`
 without its shared edge and apex tuples, which changes no answer and
-only the test that checks object identity catches.
+only the test that checks object identity catches; `build` filing the
+side of an ac apex with the wrong sign; `flip_preview` admitting a
+quadrilateral with three collinear corners; and `apply_flip` swapping
+one side's old and new apex.
 
 Run from the root of a checkout:
 
@@ -100,6 +103,27 @@ MUTANTS = [
         "triangulation.py",
         "opp_sorted[_SHARED.setdefault(e, e)] = _SHARED.setdefault(ws, ws)",
         "opp_sorted[e] = ws",
+    ),
+    (
+        "ac-side",
+        "Triangulation.build records the side of the apex of ac with the wrong sign",
+        "triangulation.py",
+        "opp.setdefault((a, c), []).append(b + b + 1 - s)",
+        "opp.setdefault((a, c), []).append(b + b + s)",
+    ),
+    (
+        "preview-collinear",
+        "flip_preview admits a quadrilateral with three collinear corners (> 0 for >= 0)",
+        "triangulation.py",
+        "(dx * (vy - cy) - dy * (vx - cx)) >= 0:",
+        "(dx * (vy - cy) - dy * (vx - cx)) > 0:",
+    ),
+    (
+        "flip-old-new",
+        "apply_flip swaps the old and new apex of the side ac",
+        "triangulation.py",
+        "for x, y, old, new in ((a, c, b, d),",
+        "for x, y, old, new in ((a, c, d, b),",
     ),
 ]
 

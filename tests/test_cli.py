@@ -329,10 +329,31 @@ def test_non_utf8_instance_is_an_input_error(tmp_path, argv, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes(SQUARE_TEXT.encode() + b"# \xff\n")
     assert main([argv[0], str(path), *argv[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("flipdist: ") and "can't decode byte 0xff" in captured.err
-    assert "Traceback" not in captured.err
+    # the position counts bytes of the whole file: "# " precedes 0xff
+    position = len(SQUARE_TEXT.encode()) + 2
+    assert capsys.readouterr() == (
+        "",
+        f"flipdist: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n",
+    )
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_instances_read_as_lf(tmp_path, newline, capsys):
+    # the file is read as bytes and decoded once; parse_instance splits
+    # every line ending a text-mode read would have translated
+    outputs = []
+    for name, ending in (("lf", "\n"), ("other", newline)):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(PENTAGON_TEXT.replace("\n", ending).encode())
+        assert main(["validate", str(path)]) == 0
+        assert main(["distance", str(path)]) == 0
+        validated, record = capsys.readouterr().out.splitlines()
+        record = json.loads(record)
+        del record["millis"]
+        outputs.append((validated, record))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == "ok: n=5 h=5 triangles=3 k=-"
+    assert outputs[0][1]["result"] == {"oracle": 2, "fpt": True, "agree": True}
 
 
 @pytest.mark.parametrize("engine", ["fpt", "both"])

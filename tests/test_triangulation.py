@@ -43,6 +43,37 @@ def test_build_reports_overlapping_triangles():
         Triangulation.build(SQUARE_POINTS, [(0, 1, 2), (1, 2, 3)])
 
 
+# (shared edge, first apex, second apex) over the labels 0..3: the edge
+# takes every pair of positions (ab, ac, bc) in its two sorted triangles
+OVERLAP_LABELS = [
+    ((0, 1), 2, 3),  # ab, ab
+    ((0, 2), 1, 3),  # ac, ab
+    ((0, 3), 1, 2),  # ac, ac
+    ((1, 2), 0, 3),  # bc, ab
+    ((1, 3), 0, 2),  # bc, ac
+    ((2, 3), 0, 1),  # bc, bc
+]
+
+
+@pytest.mark.parametrize("mirror", [1, -1], ids=["ccw", "cw"])
+@pytest.mark.parametrize("edge, first, second", OVERLAP_LABELS)
+def test_build_reports_overlapping_triangles_at_every_edge_position(edge, first, second, mirror):
+    # the edge is the quadrilateral's bottom side and both apexes lie
+    # above it; mirroring in x flips the orientation of every triangle
+    corners = [(0, 0), (4, 0), (3, 2), (1, 2)]
+    points = [None] * 4
+    for label, (x, y) in zip((*edge, first, second), corners):
+        points[label] = (mirror * x, y)
+    t1, t2 = make_triangle(*edge, first), make_triangle(*edge, second)
+    with pytest.raises(InvalidTriangulation) as exc:
+        Triangulation.build(points, [t1, t2])
+    assert str(exc.value) == f"overlapping triangles {t1} and {t2}"
+    # the apexes listed the other way round, and the message with them
+    with pytest.raises(InvalidTriangulation) as exc:
+        Triangulation.build(points, [t2, t1])
+    assert str(exc.value) == f"overlapping triangles {t2} and {t1}"
+
+
 def test_build_reports_wrong_triangle_count():
     with pytest.raises(InvalidTriangulation, match="expected 2 triangles, got 1"):
         Triangulation.build(SQUARE_POINTS, [(0, 1, 2)])
