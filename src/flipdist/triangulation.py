@@ -311,11 +311,11 @@ class Triangulation:
         strictly convex.  O(1), and the flipped triangulation is not built.
 
         Convexity is one integer expression, cross(c, d, u) * cross(c, d, v)
-        inlined.  The apexes c, d of an interior edge uv lie strictly on opposite
-        sides of it, so the quadrilateral u, c, v, d is strictly convex
-        exactly when u and v lie strictly on opposite sides of cd: then the
-        diagonals cross properly, and no three of the four points are
-        collinear.  The premise holds for every triangulation: build's
+        inlined.  The apexes c, d of an interior edge uv lie strictly on
+        opposite sides of it, so the quadrilateral u, c, v, d is strictly
+        convex exactly when u and v lie strictly on opposite sides of cd:
+        then the diagonals cross properly, and no three of the four points
+        are collinear.  The premise holds for every triangulation: build's
         "overlapping triangles" check establishes it, and an admissible
         flip keeps it.  The created diagonal cd has apexes u and v, which
         cd splits; each side, say uc, trades apex v for d, and convexity
