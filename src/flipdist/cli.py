@@ -205,9 +205,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 # (name, help, options, handler): each option is (flag, add_argument keywords).
-# A first token that names a command gets only that command's parser; any
-# other token gets all five, bare.  _METAVAR names all five in the top-level
-# usage, which argparse would otherwise build from the parsers added.
+# main builds one command's parser, from its row, when argv opens with its
+# name; build_parser lists every row's name and help, bare, for the rest.
 COMMANDS = (
     ("validate", "parse and validate an instance file", (("file", {}),), cmd_validate),
     ("gen", "generate a random instance on stdout", (
@@ -234,38 +233,39 @@ COMMANDS = (
         ("--cap", dict(type=int, default=DEFAULT_CAP)),
     ), cmd_bench),
 )
-_METAVAR = "{" + ",".join(name for name, *_ in COMMANDS) + "}"
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser for an argv whose first token is `command`.  A subcommand
-    gets only its own parser, with -h and options, since no other can run;
-    the fixed metavar keeps all five commands in the top-level usage that
-    unrecognized arguments print.  Any other token (none, -h, an unknown
-    word) gets every subcommand bare and no metavar, which would rename
-    `command` in its errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: every subcommand bare, so that its usage and
+    help name all five.  main builds it only when argv does not open with a
+    command name (no argument, -h, an unknown word), and to report what the
+    invoked command's parser left unrecognized."""
     parser = argparse.ArgumentParser(
         prog="flipdist",
         description="Flip distance between triangulations of a planar point set.",
     )
-    chosen = [c for c in COMMANDS if c[0] == command]
     # prog given, argparse formats no usage to derive it
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=_METAVAR if chosen else None, prog=parser.prog
-    )
-    for name, text, options, handler in chosen or COMMANDS:
-        p = sub.add_parser(name, help=text, add_help=bool(chosen))
-        if chosen:
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, text, *_ in COMMANDS:
+        sub.add_parser(name, help=text, add_help=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    row = next((c for c in COMMANDS if argv and c[0] == argv[0]), None)
+    if row is None:
+        args = build_parser().parse_args(argv)
+    else:
+        name, _, options, handler = row
+        parser = argparse.ArgumentParser(prog=f"flipdist {name}")
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(func=handler)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:  # argparse's own message, under the top-level usage
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (

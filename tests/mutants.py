@@ -4,9 +4,9 @@ independent statement of the machine's steps (M11); the zero-slack root
 cut stretched to k = |changed edges| + 1, where it is unsound; A* without
 its late pop, which never flips a goal edge and which only the n = 50
 gadget's state count (228 against 2,029) catches; two faults in the
-`distance` command's record and exit code; `build_parser` without its
-fixed metavar, which names only the invoked command in the top-level
-usage that unrecognized arguments print; `Triangulation.build`
+`distance` command's record and exit code; the invoked command's parser
+reporting leftover arguments under its own usage, not the top-level one,
+and named without its `flipdist ` prefix; `Triangulation.build`
 without its shared edge and apex tuples, which changes no answer and
 only the test that checks object identity catches; `build` filing the
 side of an ac apex with the wrong sign; `flip_preview` admitting a
@@ -91,11 +91,18 @@ MUTANTS = [
         'print("distance: engines disagree (this is a bug)", file=sys.stderr)\n        return EXIT_OK',
     ),
     (
-        "no-metavar",
-        "build_parser drops the fixed metavar",
+        "own-leftovers",
+        "the invoked command's parser reports leftover arguments under its own usage",
         "cli.py",
-        "metavar=_METAVAR if chosen else None",
-        "metavar=None",
+        "args, extras = parser.parse_known_args(argv[1:])",
+        "args, extras = parser.parse_args(argv[1:]), []",
+    ),
+    (
+        "bare-prog",
+        "the invoked command's parser is named without the flipdist prefix",
+        "cli.py",
+        'parser = argparse.ArgumentParser(prog=f"flipdist {name}")',
+        "parser = argparse.ArgumentParser(prog=name)",
     ),
     (
         "no-shared-tuples",

@@ -113,15 +113,70 @@ def test_only_the_invoked_command_gets_options(square_file, monkeypatch, capsys)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["validate", square_file]) == 0
-    # one -h for the top level and one for validate, then validate's file
-    assert sorted(added) == ["-h"] * 2 + ["file"]
-    # the top level and validate: no other subcommand's parser is built
-    assert built == ["flipdist", "flipdist validate"]
+    # validate's own parser, with its -h and file, and no top-level parser
+    assert added == ["-h", "file"]
+    assert built == ["flipdist validate"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["--help"])
     # the top-level help lists all five, so it builds them all
     assert len(built) == 6
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["validate", square_file, "extra"])
+    # the leftover is reported by the top-level parser, built after validate's
+    assert built == ["flipdist validate", "flipdist"] + [f"flipdist {c}" for c in COMMAND_HELP]
+
+
+def _reference_parser(command):
+    """The parser main used before it built the invoked command's parser
+    alone: all five commands listed, and the one argv opens with given its
+    -h, options and handler.  (With every command's options registered,
+    `-x distance` would report distance's missing file before the `-x`.)"""
+    parser = argparse.ArgumentParser(
+        prog="flipdist",
+        description="Flip distance between triangulations of a planar point set.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, options, handler in cli.COMMANDS:
+        p = sub.add_parser(name, help=text, add_help=name == command)
+        if name == command:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=handler)
+    return parser
+
+
+def _reference_main(argv):
+    args = _reference_parser(argv[0] if argv else None).parse_args(argv)
+    return args.func(args)
+
+
+def _outcome(run, argv, capsys):
+    """(exit or SystemExit code, stdout, stderr), a distance record's
+    millis set aside."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if argv[:1] == ["distance"] and out.startswith("{"):
+        out = {**json.loads(out), "millis": None}
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["-x", "distance"],
+    *([command, "-h"] for command in COMMAND_HELP),
+    ["validate"], ["distance", "FILE", "--engine", "x"], ["distance", "FILE", "--k", "x"],
+    ["distance", "FILE", "--en", "fpt"], ["distance", "FILE", "--k=1"], ["distance", "--", "FILE"],
+    ["distance", "FILE", "--bogus"], ["validate", "FILE", "a", "b"], ["validate", "-h", "--bogus"],
+    ["validate", "FILE"], ["dag", "FILE", "--flips", "0-2"],
+], ids=lambda argv: "_".join(argv) or "no-args")
+def test_main_matches_the_reference_parser(argv, square_file, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [square_file if a == "FILE" else a for a in argv]
+    assert _outcome(main, argv, capsys) == _outcome(_reference_main, argv, capsys)
 
 
 @pytest.mark.parametrize("argv, extra", [
