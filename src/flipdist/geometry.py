@@ -23,15 +23,6 @@ def cross(p: Point, q: Point, r: Point) -> int:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
-def polygon_area2(ring: Sequence[Point]) -> int:
-    """Twice the signed shoelace area of a polygon; positive for ccw order."""
-    total = 0
-    for i, (x, y) in enumerate(ring):
-        qx, qy = ring[(i + 1) % len(ring)]
-        total += x * qy - qx * y
-    return total
-
-
 def monotone_chains(
     points: Sequence[Point],
 ) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:

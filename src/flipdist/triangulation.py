@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 from .geometry import (
     Point,
     hull_boundary_chain,
-    polygon_area2,
     COORD_LIMIT,
 )
 
@@ -63,8 +62,8 @@ class PointSet:
     its index there.  Construction validates coordinates (integers within
     32-bit range, no duplicates, not all collinear) and precomputes
     everything every triangulation of the set has in common: the edge_bit
-    mask of the hull chain's boundary edges, the triangle count forced by
-    Euler's formula and the hull's area.  Nothing is added after construction.
+    mask of the hull chain's boundary edges and the triangle count forced
+    by Euler's formula.  Nothing is added after construction.
     """
 
     __slots__ = (
@@ -72,7 +71,6 @@ class PointSet:
         "boundary_mask",
         "hull_size",
         "expected_triangles",
-        "hull_area2",
     )
 
     def __init__(self, coords: Iterable[Point]):
@@ -102,7 +100,6 @@ class PointSet:
         self.boundary_mask = sum(edge_bit(make_edge(chain[i], chain[(i + 1) % h])) for i in range(h))
         # Euler count; h counts every point on the hull boundary, not just corners.
         self.expected_triangles = 2 * len(pts) - h - 2
-        self.hull_area2 = polygon_area2([pts[v] for v in chain])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -149,20 +146,20 @@ class Triangulation:
         Raises InvalidTriangulation naming the first violated invariant, in
         this order: per-triangle checks (vertex ids, degenerate or duplicate
         triangle), triangle count, bad edge incidence or overlapping
-        triangles (per edge), boundary edges unequal to the hull chain,
-        unused point, and uncovered area.
+        triangles (per edge), and boundary edges unequal to the hull chain.
 
         Every check is local, so validation is O(T) in the number of
-        triangles.  Soundness: let w(x) be the number of triangles that
-        cover a point x off every edge.  w does not change across an
-        interior edge, because its two triangles lie on opposite sides of
-        it.  The only edges on the hull boundary are the chain edges (any
-        other edge there would need an apex outside the hull), and each
-        is in exactly one triangle, which lies inside; so w = 0 outside
-        the hull and w = 1 just inside it, hence w = 1 everywhere inside.
-        The triangles therefore tile the hull, and with T = 2n - h - 2
-        Euler's formula leaves no point unused and no T-junction; the
-        unused-point and area checks are cheap extras.
+        triangles.  Soundness, by tiling: let w(x) be the number of
+        triangles that cover a point x off every edge.  The incidence check
+        leaves edges in one or two triangles.  Across an edge in two, w does
+        not change, as the opposite-sides check puts them on either side of
+        it; across an edge in one, w changes by one, and the boundary check
+        makes those edges exactly the hull chain's.  So w = 0 outside the
+        hull and w = 1 just inside it, hence w = 1 on the whole hull: the
+        triangles tile it and meet edge to edge, with no area check.  A
+        tiling of the hull that used n' of the n points would have
+        2n' - h - 2 triangles by Euler's formula, so the count check,
+        T = 2n - h - 2, is what leaves no point unused.
 
         Pass 1 takes one orientation t = cross(a, b, c) per sorted triangle
         a < b < c.  As cross(a, c, b) = -t and cross(b, c, a) = t, c lies on
@@ -174,12 +171,10 @@ class Triangulation:
         n = len(ps)
         pts = ps.points
 
-        # pass 1, per triangle: its own checks, the apex lists with their
-        # sides, the used vertices and the area sum
+        # pass 1, per triangle: its own checks and the apex lists with
+        # their sides
         tri_seen: set[Triangle] = set()
         opp: dict[Edge, list[int]] = {}
-        used: set[int] = set()
-        area2 = 0
         for raw in triangles:
             try:
                 ids = tuple(map(index, raw))
@@ -211,8 +206,6 @@ class Triangulation:
             opp.setdefault((a, b), []).append(c + c + s)
             opp.setdefault((a, c), []).append(b + b + 1 - s)
             opp.setdefault((b, c), []).append(a + a + s)
-            used.update(t)
-            area2 += turn if s else -turn
 
         if len(tri_seen) != ps.expected_triangles:
             raise InvalidTriangulation(
@@ -247,11 +240,6 @@ class Triangulation:
             raise InvalidTriangulation(
                 "bad edge incidence: boundary edges do not match the hull boundary"
             )
-        if len(used) != n:
-            missing = sorted(set(range(n)) - used)
-            raise InvalidTriangulation(f"point {missing[0]} is not used by any triangle")
-        if area2 != ps.hull_area2:
-            raise InvalidTriangulation("triangle areas do not cover the hull")
         return cls(ps, opp_sorted, mask)
 
     # -- queries ---------------------------------------------------------

@@ -9,9 +9,11 @@ reporting leftover arguments under its own usage, not the top-level one,
 and named without its `flipdist ` prefix; `Triangulation.build`
 without its shared edge and apex tuples, which changes no answer and
 only the test that checks object identity catches; `build` filing the
-side of an ac apex with the wrong sign; `flip_preview` admitting a
-quadrilateral with three collinear corners; and `apply_flip` swapping
-one side's old and new apex.
+side of an ac apex with the wrong sign; `build` without its triangle
+count, hull boundary or edge incidence check, the three checks that
+carry its tiling argument; `flip_preview` admitting a quadrilateral with
+three collinear corners; and `apply_flip` swapping one side's old and
+new apex.
 
 Run from the root of a checkout:
 
@@ -117,6 +119,27 @@ MUTANTS = [
         "triangulation.py",
         "opp.setdefault((a, c), []).append(b + b + 1 - s)",
         "opp.setdefault((a, c), []).append(b + b + s)",
+    ),
+    (
+        "no-count",
+        "Triangulation.build skips the triangle count check",
+        "triangulation.py",
+        "if len(tri_seen) != ps.expected_triangles:",
+        "if False:",
+    ),
+    (
+        "no-boundary",
+        "Triangulation.build skips the check that its boundary edges are the hull chain's",
+        "triangulation.py",
+        "if boundary != ps.boundary_mask:",
+        "if False:",
+    ),
+    (
+        "no-incidence",
+        "Triangulation.build skips the check that no edge is in three or more triangles",
+        "triangulation.py",
+        "if len(ws) > 2:",
+        "if False:",
     ),
     (
         "preview-collinear",

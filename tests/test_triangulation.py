@@ -79,6 +79,15 @@ def test_build_reports_wrong_triangle_count():
         Triangulation.build(SQUARE_POINTS, [(0, 1, 2)])
 
 
+def test_build_reports_an_edge_in_three_triangles():
+    # the count is right, so the incidence check is the first to fire
+    with pytest.raises(InvalidTriangulation) as exc:
+        Triangulation.build(
+            [(0, 0), (4, 0), (4, 4), (0, 4), (2, 2)], [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)]
+        )
+    assert str(exc.value) == "bad edge incidence: edge (0, 1) is in 3 triangles"
+
+
 def test_build_reports_duplicate_point():
     with pytest.raises(InvalidTriangulation, match="duplicate point"):
         Triangulation.build([(0, 0), (1, 0), (1, 1), (0, 0)], [(0, 1, 2), (0, 2, 3)])
@@ -177,6 +186,10 @@ SMALL_POINT_SETS = [
     [(0, 0), (6, 0), (7, 4), (3, 7), (-1, 4), (3, 3)],  # five-point hull, one inside
     [(0, 0), (1, 0), (2, 0), (3, 0), (1, 2), (2, 1)],  # collinear hull sides
     [(0, 0), (2, 0), (1, 0), (1, 2)],
+    # interior points on lines through other points: a list can skip a
+    # point or put a vertex inside another triangle's edge
+    [(0, 0), (6, 0), (6, 6), (0, 6), (3, 3), (2, 2)],
+    [(0, 0), (2, 0), (4, 0), (2, 2), (2, 4)],
 ]
 
 
