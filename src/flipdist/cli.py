@@ -254,6 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if argv[:1] == ["--"]:  # argparse would take it for the command's name
+        argv = argv[1:]
     row = next((c for c in COMMANDS if argv and c[0] == argv[0]), None)
     if row is None:
         args = build_parser().parse_args(argv)

@@ -24,10 +24,13 @@ _steps never flips; the search builds a flip only for a kept successor.
 
 A full run splits k into a composition (k_1, .., k_t); iteration l
 starts at the next not-yet-restored edge of the initial triangulation
-that is absent from the target (in canonical order, already-absent ones
-skipped) and must perform exactly k_l flips within at most 2*k_l
-actions on a fresh stack.  The run accepts iff after all t iterations
-the current triangulation is the target.  Trying every composition
+that is absent from the target and must perform exactly k_l flips
+within at most 2*k_l actions on a fresh stack.  "Next" is in one order
+per call, already-absent edges skipped: the changed edges admissible in
+the initial triangulation first, so the first iteration can flip at
+once, then the rest, each group in canonical order (in convex position
+all of them are admissible).  The run accepts iff after all t
+iterations the current triangulation is the target.  Trying every composition
 (walked as a tree over the next part, so a shared prefix runs once, and
 with one search per tree node serving every next part at once, each
 outcome tried as soon as it is found) makes
@@ -244,6 +247,15 @@ def exists_solution_with_exactly_k_flips(
     admissible flips ending at goal) and complete when k is the flip
     distance, which is all the distance decision needs.
 
+    `order` is the changed edges, those admissible in `start` first, each
+    group in canonical order, fixed for the call.  Any order computed
+    from `start` alone keeps the answer: soundness never reads it, and
+    completeness at k = d uses it only as a fixed list of the start's
+    goal-absent edges, each iteration starting at the first one still
+    present, which the memo key below needs fixed anyway.  The tests'
+    unpruned reference walks the canonical order, so the neutrality
+    tests check that this order changes no answer.
+
     attempt(tri, cursor, rest) walks the compositions as a tree: one
     _node_search from the next present changed edge yields the outcomes
     of an iteration of each size 1..rest, and attempt recurses on each
@@ -310,6 +322,8 @@ def exists_solution_with_exactly_k_flips(
     if 0 < k < len(order) or (0 < k == len(order) and not any(_happy(start, e, goal) for e in order)):
         stats.lower_bound_cuts += 1
         return False
+    # admissible edges first; stable, so canonical within each group
+    order.sort(key=lambda e: start.flip_preview(e) is None)
     return attempt(start, 0, k)
 
 

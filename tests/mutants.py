@@ -1,19 +1,21 @@
 """Hand mutants, rerun against the tier-1 suite: three FPT search rules
 that no answer test catches, only pinned state counts (M4, M5) and the
 independent statement of the machine's steps (M11); the zero-slack root
-cut stretched to k = |changed edges| + 1, where it is unsound; A* without
-its late pop, which never flips a goal edge and which only the n = 50
-gadget's state count (228 against 2,029) catches; two faults in the
-`distance` command's record and exit code; the invoked command's parser
-reporting leftover arguments under its own usage, not the top-level one,
-and named without its `flipdist ` prefix; `Triangulation.build`
-without its shared edge and apex tuples, which changes no answer and
-only the test that checks object identity catches; `build` filing the
-side of an ac apex with the wrong sign; `build` without its triangle
-count, hull boundary or edge incidence check, the three checks that
-carry its tiling argument; `flip_preview` admitting a quadrilateral with
-three collinear corners; and `apply_flip` swapping one side's old and
-new apex.
+cut stretched to k = |changed edges| + 1, where it is unsound; a start
+order that keeps only the changed edges admissible in the start, which
+answered every random pair tried and which only pinned state counts
+catch; A* without its late pop, which never flips a goal edge and which
+only the n = 50 gadget's state count (228 against 2,029) catches; two
+faults in the `distance` command's record and exit code; the invoked
+command's parser reporting leftover arguments under its own usage, not
+the top-level one, and named without its `flipdist ` prefix;
+`Triangulation.build` without its shared edge and apex tuples, which
+changes no answer and only the test that checks object identity
+catches; `build` filing the side of an ac apex with the wrong sign;
+`build` without its triangle count, hull boundary or edge incidence
+check, the three checks that carry its tiling argument; `flip_preview`
+admitting a quadrilateral with three collinear corners; and
+`apply_flip` swapping one side's old and new apex.
 
 Run from the root of a checkout:
 
@@ -68,6 +70,13 @@ MUTANTS = [
         "fpt_solver.py",
         "0 < k == len(order) and not any(",
         "0 < k <= len(order) + 1 and not any(",
+    ),
+    (
+        "admissible-only",
+        "the composition tree starts iterations only at changed edges admissible in the start",
+        "fpt_solver.py",
+        "order.sort(key=lambda e: start.flip_preview(e) is None)",
+        "order = [e for e in order if start.flip_preview(e) is not None]",
     ),
     (
         "no-late-pop",

@@ -179,6 +179,16 @@ def test_main_matches_the_reference_parser(argv, square_file, monkeypatch, capsy
     assert _outcome(main, argv, capsys) == _outcome(_reference_main, argv, capsys)
 
 
+@pytest.mark.parametrize("argv", [[], ["validate", "FILE"], ["dag", "FILE", "--flips", "0-2"]],
+                         ids=lambda argv: "_".join(argv) or "no-args")
+def test_a_leading_double_dash_is_dropped(argv, square_file, capsys):
+    # argparse hands a `--` before the command to the command lookup as its name
+    argv = [square_file if a == "FILE" else a for a in argv]
+    outcome = _outcome(main, argv, capsys)
+    assert _outcome(main, ["--", *argv], capsys) == outcome
+    assert outcome[0] == (0 if argv else 2)
+
+
 @pytest.mark.parametrize("argv, extra", [
     (["distance", "f", "--bogus"], "--bogus"),
     (["validate", "f", "extra"], "extra"),

@@ -41,7 +41,7 @@ from flipdist.fpt_solver import (
     FLIP_PUSH_MOVE,
     MOVE,
 )
-from flipdist.oracle import OracleStats
+from flipdist.oracle import OracleStats, _bfs
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +260,25 @@ def test_decide_matches_oracle_on_random_instances():
     assert 0 < stats.max_branching <= 14
 
 
+def test_fpt_distance_matches_bfs_on_every_pair_of_random_hull_sets():
+    # all 8,009 ordered pairs of triangulations of twelve seeded random
+    # 7-point sets.  In convex position every changed edge is admissible
+    # in the start, so the admissible-first order is the canonical one;
+    # here it differs from the canonical one on 2,739 pairs
+    reordered = 0
+    for seed in range(12):
+        start, _ = generate_instance(7, "random", 0, seed).triangulations()
+        world = enumerate_triangulations(start)
+        for a in world:
+            depth = {m: d for d, m, _, _ in _bfs(a, 28, "all pairs")}
+            for b in world:
+                ready = [a.flip_preview(e) is not None for e in sorted(changed_edges(a, b))]
+                reordered += ready != sorted(ready, reverse=True)
+                d = depth[b.edge_mask]
+                assert fpt_distance(a, b, d) == d
+    assert reordered == 2739
+
+
 def test_exists_pruning_parity_small():
     for seed in range(12):
         a, b = random_pair(5 + seed % 3, 1 + seed % 3, 1600 + seed)
@@ -396,11 +415,11 @@ def test_reference_does_not_call_the_library_search(monkeypatch):
 # cuts, actions or visit order moves them.  The unpruned reference on
 # (14, 8, 2) runs too long for the suite.
 PINNED_COUNTS = {
-    (6, 4, 103): (9, (43, 228, 14, 4, 2, 43), (3073, 18520, 14, 5, 11, 0)),
-    (6, 4, 132): (9, (43, 226, 14, 4, 2, 43), (2929, 17366, 14, 5, 11, 0)),
-    (6, 4, 166): (6, (45, 228, 14, 4, 2, 25), (3332, 17630, 14, 7, 14, 0)),
+    (6, 4, 103): (9, (9, 72, 12, 4, 3, 9), (3073, 18520, 14, 5, 11, 0)),
+    (6, 4, 132): (9, (8, 68, 12, 4, 3, 9), (2929, 17366, 14, 5, 11, 0)),
+    (6, 4, 166): (6, (8, 62, 12, 4, 3, 1), (3332, 17630, 14, 7, 14, 0)),
     (7, 4, 51): (19, (28, 178, 14, 4, 2, 43), (15647, 106804, 14, 14, 22, 0)),
-    (14, 8, 2): (11534, (188, 1490, 14, 7, 4, 682), None),
+    (14, 8, 2): (11534, (188, 1520, 14, 7, 4, 712), None),
 }
 
 
@@ -449,14 +468,14 @@ def test_searches_build_only_kept_states(monkeypatch, pair):
 
 def test_memo_shares_failures_across_prefixes():
     # a rejected k whose tree revisits failed (rest, cursor, mask) nodes:
-    # 2763 states with the memo, 3163 without (with one iteration per node
-    # and part: 4577 and 5068; running each composition from the start
-    # with a memo keyed on its remaining parts: 5145)
+    # 2741 states with the memo, 3131 without (with one iteration per node
+    # and part: 4557 and 5034; running each composition from the start
+    # with a memo keyed on its remaining parts: 5129)
     a, b = generate_instance(9, "random", 4, 111).triangulations()
     stats = SolverStats()
     assert not exists_solution_with_exactly_k_flips(a, b, 5, stats)
     # exact, so a memo that shares fewer failures fails, not only one that shares none
-    assert stats.states_expanded == 2763
+    assert stats.states_expanded == 2741
 
 
 def test_fpt_distance_matches_oracle_on_larger_pair():
