@@ -49,9 +49,9 @@ with fewer flips left is cut (and counted in stats).  At the root, k = w
 is also cut unless some goal-absent edge has a happy flip, one that
 creates a target edge: with no slack, every flip of the run must be one.
 
-Every exists_solution_with_exactly_k_flips call expands at most
-NODE_BUDGET machine states and raises SearchBudgetExceeded past it;
-fpt_distance and decide_flip_distance_eq make one such call per k.
+Each exists_solution_with_exactly_k_flips call expands at most
+oracle.NODE_BUDGET machine states and raises SearchBudgetExceeded past
+it; fpt_distance and decide_flip_distance_eq make one such call per k.
 """
 
 from __future__ import annotations
@@ -60,11 +60,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .oracle import SearchBudgetExceeded
+from . import oracle
 from .triangulation import Edge, Triangulation, changed_edges, ensure_same_points
-
-# read at call time, so it can be lowered for a test
-NODE_BUDGET = 1_000_000
 
 MOVE = "move"
 FLIP_MOVE = "flip_move"
@@ -204,7 +201,7 @@ def _node_search(
         if branching > stats.max_branching:
             stats.max_branching = branching
         if stats.states_expanded > limit:
-            raise SearchBudgetExceeded("FPT search exceeded its node budget")
+            raise oracle.SearchBudgetExceeded("FPT search exceeded its node budget")
         acts += 1  # every step costs one action
         f = flips + 1
         if created is not None and (flip_mask & absent).bit_count() > rest - f:
@@ -273,8 +270,8 @@ def exists_solution_with_exactly_k_flips(
     count at every flip, so each of its flips removes a goal-absent edge
     and creates a goal edge; moves never change the triangulation, so
     the run's first flip is made on `start`, on a goal-absent edge of
-    `start`, which is an edge of `order`.  It costs at most |changed
-    edges| flip previews.  Either cut counts one lower_bound_cut and
+    `start`, which is an edge of `order`.  It and the order read one flip
+    preview per changed edge.  Either cut counts one lower_bound_cut and
     expands no state.  No node below the root needs these checks: the
     node search that made it already dropped every outcome with more
     goal-absent edges than the `rest` flips left.
@@ -286,15 +283,15 @@ def exists_solution_with_exactly_k_flips(
     outcomes came in.  That key is coarser than the remaining parts'
     tuple, and never wrong.
 
-    Raises SearchBudgetExceeded once more than NODE_BUDGET states have
-    been expanded in this call.
+    Raises SearchBudgetExceeded once more than oracle.NODE_BUDGET states
+    have been expanded in this call.
     """
     ensure_same_points(start, goal)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if stats is None:
         stats = SolverStats()
-    limit = stats.states_expanded + NODE_BUDGET
+    limit = stats.states_expanded + oracle.NODE_BUDGET
     order = sorted(changed_edges(start, goal))
     goal_mask = goal.edge_mask
     failed: set[tuple[int, int, int]] = set()
@@ -319,18 +316,14 @@ def exists_solution_with_exactly_k_flips(
         failed.add(key)
         return False
 
-    if 0 < k < len(order) or (0 < k == len(order) and not any(_happy(start, e, goal) for e in order)):
+    # the diagonal each changed edge's flip creates, None if it cannot flip
+    created = {e: (start.flip_preview(e) or (None,))[0] for e in order}
+    if 0 < k < len(order) or (0 < k == len(order) and not any(c in goal for c in created.values())):
         stats.lower_bound_cuts += 1
         return False
     # admissible edges first; stable, so canonical within each group
-    order.sort(key=lambda e: start.flip_preview(e) is None)
+    order.sort(key=lambda e: created[e] is None)
     return attempt(start, 0, k)
-
-
-def _happy(tri: Triangulation, e: Edge, goal: Triangulation) -> bool:
-    """True iff e is admissible in tri and its flip creates a goal edge."""
-    preview = tri.flip_preview(e)
-    return preview is not None and preview[0] in goal
 
 
 def fpt_distance(
@@ -349,7 +342,7 @@ def fpt_distance(
     edge has a happy flip, d > k0 and the k0 call is cut before it
     expands a state.
 
-    Each k tried may expand NODE_BUDGET states.
+    Each k tried may expand oracle.NODE_BUDGET states.
     """
     ensure_same_points(start, goal)
     if cap < 0:
@@ -368,7 +361,9 @@ def decide_flip_distance_eq(
 ) -> bool:
     """True iff the flip distance from start to goal is exactly k.
 
-    Raises ValueError for k < 0, as fpt_distance does for a negative cap,
-    and SearchBudgetExceeded past NODE_BUDGET expanded states in one k.
+    Raises ValueError for k < 0, and SearchBudgetExceeded past
+    oracle.NODE_BUDGET expanded states in one k.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     return fpt_distance(start, goal, k, stats) == k

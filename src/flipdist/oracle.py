@@ -6,11 +6,11 @@ admissible flips, deduplicating states by their edge-set fingerprint.
 Each successor is judged on the edge mask flip_preview gives it (O(1));
 only the successors a search keeps are built, which costs O(n) each.
 bfs_distance, the geodesic labels and enumerate_triangulations come from
-one breadth-first walk, _bfs, over Triangulation.flips(); astar_distance
-is a best-first search guided by the count of goal-absent edges, which
-previews a state's goal edges only when the search reaches the priority
-their flips give (partial expansion), and bfs_distance is its reference.
-Every search raises SearchBudgetExceeded past NODE_BUDGET.
+one breadth-first walk, _bfs; astar_distance is a best-first search on
+the count of goal-absent edges that previews a state's goal edges only
+at the priority their flips give (partial expansion), with bfs_distance
+as its reference.  Every search, the FPT's too, calls flip_preview itself
+and raises SearchBudgetExceeded past the one NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ def _bfs(
     for depth in range(1, max_depth + 1):
         nxt = []
         for tri in frontier:
-            for e, m in tri.flips():
-                if m in visited:
+            preview = tri.flip_preview
+            for e in tri.edges():
+                p = preview(e)
+                if p is None or (m := p[1]) in visited:
                     continue
                 visited.add(m)
                 built = yield depth, m, tri, e
@@ -74,10 +76,12 @@ def bfs_distance(
 ) -> int | None:
     """Exact flip distance by breadth-first search, or None when it exceeds `cap`.
 
-    Raises SearchBudgetExceeded after visiting more than NODE_BUDGET
-    distinct triangulations.
+    Raises ValueError for a negative cap, and SearchBudgetExceeded after
+    visiting more than NODE_BUDGET distinct triangulations.
     """
     ensure_same_points(start, goal)
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     goal_mask = goal.edge_mask
     visited = 0
     for depth, m, _, _ in _bfs(start, cap, "flip-graph BFS"):
@@ -131,10 +135,12 @@ def astar_distance(
     the masks flip_preview gives.  A best-g map keyed by mask drops a
     successor whose g is no better and a stale pop.  Same contract as
     bfs_distance: raises SearchBudgetExceeded once more than NODE_BUDGET
-    distinct triangulations have been generated, and adds their count to
-    `stats.nodes_visited`.
+    distinct triangulations have been generated, adds their count to
+    `stats.nodes_visited`, and raises ValueError for a negative cap.
     """
     ensure_same_points(start, goal)
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     goal_mask = goal.edge_mask
     h0 = (start.edge_mask & ~goal_mask).bit_count()
     room = cap - h0  # the largest bucket index a successor may take
@@ -209,8 +215,10 @@ def enumerate_minimal_solutions(
             if tri.edge_mask == goal.edge_mask:
                 found.append(list(prefix))
             return
-        for e, m in tri.flips():
-            if labels.get(m) == remaining - 1:
+        preview = tri.flip_preview
+        for e in tri.edges():
+            p = preview(e)
+            if p is not None and labels.get(p[1]) == remaining - 1:
                 prefix.append(e)
                 walk(tri.apply_flip(e)[0], remaining - 1, prefix)
                 prefix.pop()

@@ -12,7 +12,7 @@ their edge sets do.
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     Point,
@@ -257,18 +257,8 @@ class Triangulation:
         """All edges in canonical sorted order."""
         return tuple(sorted(self._opp))
 
-    def flips(self) -> Iterator[tuple[Edge, int]]:
-        """(edge, edge mask after flipping it) for each admissible edge, in
-        canonical edge order: flip_preview of every edge, O(1) each, and
-        nothing is built."""
-        preview = self.flip_preview
-        for e in self.edges():
-            p = preview(e)
-            if p:
-                yield e, p[1]
-
     def admissible_edges(self) -> list[Edge]:
-        """The edges flips() yields, in the same order, without their masks."""
+        """The edges flip_preview admits, in canonical edge order."""
         return sorted(filter(self.flip_preview, self._opp))
 
     def edges_sharing_triangle(self, e: Edge) -> tuple[Edge, ...]:

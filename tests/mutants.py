@@ -1,7 +1,8 @@
 """Hand mutants, rerun against the tier-1 suite: three FPT search rules
 that no answer test catches, only pinned state counts (M4, M5) and the
 independent statement of the machine's steps (M11); the zero-slack root
-cut stretched to k = |changed edges| + 1, where it is unsound; a start
+cut stretched to k = |changed edges| + 1, where it is unsound, or
+satisfied by any admissible changed edge, not only a happy one; a start
 order that keeps only the changed edges admissible in the start, which
 answered every random pair tried and which only pinned state counts
 catch; A* without its late pop, which never flips a goal edge and which
@@ -72,11 +73,18 @@ MUTANTS = [
         "0 < k <= len(order) + 1 and not any(",
     ),
     (
+        "zero-slack-admissible",
+        "the zero-slack cut lets k = |changed edges| through on an admissible changed edge, happy or not",
+        "fpt_solver.py",
+        "not any(c in goal for c in created.values())",
+        "not any(c is not None for c in created.values())",
+    ),
+    (
         "admissible-only",
         "the composition tree starts iterations only at changed edges admissible in the start",
         "fpt_solver.py",
-        "order.sort(key=lambda e: start.flip_preview(e) is None)",
-        "order = [e for e in order if start.flip_preview(e) is not None]",
+        "order.sort(key=lambda e: created[e] is None)",
+        "order = [e for e in order if created[e] is not None]",
     ),
     (
         "no-late-pop",

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from flipdist import cli, fpt_solver, parse_instance
+from flipdist import cli, oracle, parse_instance
 from flipdist.cli import main
 
 SQUARE_TEXT = """\
@@ -283,7 +283,7 @@ def test_impossible_size_fails_fast(argv, capsys):
 
 def test_distance_fpt_budget_exits_3(pentagon_file, capsys, monkeypatch):
     # the CLI has no budget flag; a tiny budget stands in for a runaway search
-    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", 1)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 1)
     assert main(["distance", pentagon_file, "--engine", "fpt", "--k", "2"]) == 3
     assert "FPT search exceeded its node budget" in capsys.readouterr().err
 

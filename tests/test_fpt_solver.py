@@ -23,6 +23,7 @@ from flipdist import (
     MachineState,
     SearchBudgetExceeded,
     SolverStats,
+    Triangulation,
     astar_distance,
     bfs_distance,
     changed_edges,
@@ -33,6 +34,7 @@ from flipdist import (
     fpt_solver,
     generate_instance,
     legal_actions,
+    oracle,
 )
 from flipdist.fpt_solver import (
     FLIP_JUMP,
@@ -347,6 +349,31 @@ def test_exists_at_changed_edges_with_a_happy_flip_still_searches():
     assert accepted >= 30
 
 
+def test_exists_previews_each_changed_edge_once_before_searching(monkeypatch):
+    # the zero-slack cut and the admissible-first order read one preview
+    # per changed edge; d = 4 = |changed edges|, and the first changed
+    # edge cannot flip, so the order is not the canonical one
+    a, b = random_pair(8, 4, 1908)
+    ce = sorted(changed_edges(a, b))
+    assert len(ce) == 4 and a.flip_preview(ce[0]) is None and _has_happy_flip(a, b)
+    previewed, at_first_search = [], []
+    preview, node_search = Triangulation.flip_preview, fpt_solver._node_search
+
+    def counted_preview(tri, e):
+        if tri is a:
+            previewed.append(e)
+        return preview(tri, e)
+
+    def first_search(*args):
+        at_first_search.append(list(previewed))
+        return node_search(*args)
+
+    monkeypatch.setattr(Triangulation, "flip_preview", counted_preview)
+    monkeypatch.setattr(fpt_solver, "_node_search", first_search)
+    assert exists_solution_with_exactly_k_flips(a, b, len(ce))
+    assert sorted(at_first_search[0]) == ce
+
+
 def test_iteration_cut_keeps_exactly_the_outcomes_within_bound():
     # the cut drops a successor only when the goal is out of reach, so the
     # cut outcome set is the raw one minus outcomes with too many absent edges
@@ -502,8 +529,16 @@ def test_fpt_distance_cap_and_bounds():
     assert fpt_distance(a, a, 0) == 0
     with pytest.raises(ValueError):
         fpt_distance(a, b, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
         decide_flip_distance_eq(a, b, -1)
+
+
+@pytest.mark.parametrize("search", [bfs_distance, astar_distance, fpt_distance])
+def test_negative_cap_raises_in_every_engine(search):
+    # a distance of 0 is still above a cap of -1, so it is no answer
+    a, _ = generate_instance(6, "random", 0, 103).triangulations()
+    with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+        search(a, a, cap=-1)
 
 
 def test_slack_two_pairs_agree():
@@ -553,7 +588,7 @@ def test_fpt_budget_stops_the_max_slack_eleven_gon(monkeypatch):
     slack, d, goal = max(strata, key=lambda s: s[:2])
     assert (slack, d) == (3, 11)
     assert astar_distance(start, goal, cap=d) == d
-    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", 10_000)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 10_000)
     for search in (fpt_distance, decide_flip_distance_eq):
         stats = SolverStats()
         with pytest.raises(SearchBudgetExceeded):
@@ -569,9 +604,9 @@ def test_exists_budget_counts_states_of_the_call(monkeypatch):
     stats = SolverStats()
     assert not exists_solution_with_exactly_k_flips(a, b, 5, stats=stats)
     spent = stats.states_expanded
-    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", spent)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", spent)
     assert not exists_solution_with_exactly_k_flips(a, b, 5, stats=stats)
     assert stats.states_expanded == 2 * spent
-    monkeypatch.setattr(fpt_solver, "NODE_BUDGET", spent - 1)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", spent - 1)
     with pytest.raises(SearchBudgetExceeded):
         exists_solution_with_exactly_k_flips(a, b, 5)

@@ -138,6 +138,13 @@ def test_generate_scramble_zero_is_identity():
     assert inst.initial == inst.final
 
 
+@pytest.mark.parametrize("hull", ["random", "convex"])
+def test_generate_stops_scrambling_when_no_flip_is_admissible(hull):
+    # a triangle has no interior edge, so its one triangulation is both ends
+    inst = generate_instance(3, hull, 2, 5)
+    assert inst.final == inst.initial == [(0, 1, 2)]
+
+
 def test_generate_convex_positions():
     for seed in range(6):
         inst = generate_instance(7, "convex", 2, 4100 + seed)

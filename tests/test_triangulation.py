@@ -339,9 +339,8 @@ def test_derived_triangles_round_trip():
 
 
 def test_flip_preview_matches_apply_flip():
-    # the searches judge a successor on the preview (or on flips(), which
-    # runs it over every edge) and build only those they keep, so the
-    # preview must agree with the flip it stands for;
+    # the searches judge a successor on the preview and build only those
+    # they keep, so the preview must agree with the flip it stands for;
     # the mask is also recomputed from the apex map, bit by bit
     rng = random.Random(14)
     for n in range(5, 10):
@@ -350,9 +349,6 @@ def test_flip_preview_matches_apply_flip():
                 start, _ = generate_instance(n, hull, 0, 700 + 10 * n + seed).triangulations()
                 assert start.edge_mask == _mask_of(start)  # build's mask; every flip's below
                 for tri, _ in random_walk(start, 10, rng):
-                    assert list(tri.flips()) == [
-                        (e, tri.flip_preview(e)[1]) for e in tri.edges() if tri.flip_preview(e)
-                    ]
                     # None exactly when apply_flip refuses, absent pairs included
                     absent = [p for p in combinations(range(n), 2) if p not in tri][:2]
                     for e in list(tri.edges()) + absent:
