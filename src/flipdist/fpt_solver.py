@@ -29,12 +29,13 @@ within at most 2*k_l actions on a fresh stack.  "Next" is in one order
 per call, already-absent edges skipped: the changed edges admissible in
 the initial triangulation first, so the first iteration can flip at
 once, then the rest, each group in canonical order (in convex position
-all of them are admissible).  The run accepts iff after all t
-iterations the current triangulation is the target.  Trying every composition
-(walked as a tree over the next part, so a shared prefix runs once, and
-with one search per tree node serving every next part at once, each
-outcome tried as soon as it is found) makes
-the overall decision exact for k equal to the flip distance, and
+all of them are admissible); at k = |changed edges| the edges whose
+flip creates a target edge go first of all.  The run accepts iff after
+all t iterations the current triangulation is the target.  Trying
+every composition (walked as a tree over the next part, so a shared
+prefix runs once, and with one search per tree node serving every next
+part at once, each outcome tried as soon as it is found) makes the
+overall decision exact for k equal to the flip distance, and
 every accepted run is a genuine k-flip transformation, so smaller k
 never accepts.  fpt_distance rests on that pair of facts: it tries
 k = |changed edges|, |changed edges| + 1, .. in turn (every flip removes
@@ -131,7 +132,8 @@ def legal_actions(state: MachineState) -> list[tuple[str, MachineState]]:
     business.
     """
     tri, at, stack, flips, acts = state
-    flipped, created = tri.apply_flip(at) if tri.flip_preview(at) else (None, None)
+    created, flip_mask = tri.flip_preview(at) or (None, None)
+    flipped = None if created is None else tri._flipped(at, created, flip_mask)
     return [
         (kind, MachineState(tri if kind == MOVE else flipped, e, stk, flips + (kind != MOVE), acts + 1))
         for kind, targets, stk in _steps(tri, at, stack, created)
@@ -180,7 +182,8 @@ def _node_search(
 
     All flip groups of a state make its one flip, so the cut and then the
     outcome check judge it once (one cut per flip target), and it is built
-    at most once; the action budget runs per step group.
+    at most once, from the preview already in hand; the action budget
+    runs per step group.
     SearchBudgetExceeded is raised once stats.states_expanded passes `limit`.
     """
     absent = ~goal_mask
@@ -214,7 +217,7 @@ def _node_search(
             size = len(found)
             found.add(flip_mask)
             if len(found) > size:
-                flipped = cur.apply_flip(at)[0]
+                flipped = cur._flipped(at, created, flip_mask)
                 yield f, flipped
         for kind, targets, stk in groups:
             f, m = (flips, cur.edge_mask) if kind == MOVE else (flips + 1, flip_mask)
@@ -228,7 +231,7 @@ def _node_search(
                 if len(seen) == size:
                     continue
                 if t2 is None:
-                    t2 = flipped = cur.apply_flip(at)[0]
+                    t2 = flipped = cur._flipped(at, created, flip_mask)
                 queue.append((t2, e, stk, f, acts))
 
 
@@ -244,9 +247,14 @@ def exists_solution_with_exactly_k_flips(
     admissible flips ending at goal) and complete when k is the flip
     distance, which is all the distance decision needs.
 
-    `order` is the changed edges, those admissible in `start` first, each
-    group in canonical order, fixed for the call.  Any order computed
-    from `start` alone keeps the answer: soundness never reads it, and
+    `order` is the changed edges in groups, each in canonical order,
+    fixed for the call: at k = |changed edges| those whose flip in
+    `start` creates a goal edge (happy first: with no slack every flip
+    of a run must create a goal edge, so only these can flip the moment
+    the first iteration starts), then the other edges admissible in
+    `start`, then the rest; at every other k the admissible edges first,
+    then the rest.  Any order computed from `start` and `goal` alone
+    keeps the answer: soundness never reads it, and
     completeness at k = d uses it only as a fixed list of the start's
     goal-absent edges, each iteration starting at the first one still
     present, which the memo key below needs fixed anyway.  The tests'
@@ -321,8 +329,11 @@ def exists_solution_with_exactly_k_flips(
     if 0 < k < len(order) or (0 < k == len(order) and not any(c in goal for c in created.values())):
         stats.lower_bound_cuts += 1
         return False
-    # admissible edges first; stable, so canonical within each group
-    order.sort(key=lambda e: created[e] is None)
+    # at zero slack the happy edges first, then the other admissible
+    # ones; else admissible first; stable, so canonical within each group
+    # (k0 is read first: a list reads as empty while it sorts)
+    k0 = len(order)
+    order.sort(key=lambda e: (created[e] is None, k != k0 or created[e] not in goal))
     return attempt(start, 0, k)
 
 

@@ -327,8 +327,12 @@ class Triangulation:
             if len(ws) == 1:
                 raise InadmissibleFlip(f"edge {e} is on the boundary")
             raise InadmissibleFlip(f"quadrilateral around {e} is not strictly convex")
+        return self._flipped(e, *preview), preview[0]
 
-        created, mask = preview
+    def _flipped(self, e: Edge, created: Edge, mask: int) -> "Triangulation":
+        """The triangulation after flipping e, given (created, mask) =
+        flip_preview(e), not None; trusted, like the bare constructor.
+        Every flipped triangulation is built here."""
         a, b = e
         c, d = created
         opp = self._opp.copy()
@@ -344,7 +348,7 @@ class Triangulation:
                 other = sw[0] if sw[1] == old else sw[1]
                 opp[side] = (other, new) if other < new else (new, other)
 
-        return Triangulation(self.ps, opp, mask), created
+        return Triangulation(self.ps, opp, mask)
 
     # -- identity --------------------------------------------------------
 

@@ -206,16 +206,18 @@ def searched_compositions(start: Triangulation, goal: Triangulation, k: int):
 
 
 def count_builds(monkeypatch) -> list[int]:
-    """Count Triangulation.apply_flip calls from here on; the count is the
-    single entry of the returned list."""
+    """Count the flipped triangulations built from here on: every
+    Triangulation._flipped call, which apply_flip and the searches'
+    builds from a preview in hand all make; the count is the single
+    entry of the returned list."""
     calls = [0]
-    real = Triangulation.apply_flip
+    real = Triangulation._flipped
 
-    def counted(self, e):
+    def counted(self, e, created, mask):
         calls[0] += 1
-        return real(self, e)
+        return real(self, e, created, mask)
 
-    monkeypatch.setattr(Triangulation, "apply_flip", counted)
+    monkeypatch.setattr(Triangulation, "_flipped", counted)
     return calls
 
 

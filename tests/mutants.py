@@ -16,7 +16,7 @@ catches; `build` filing the side of an ac apex with the wrong sign;
 `build` without its triangle count, hull boundary or edge incidence
 check, the three checks that carry its tiling argument; `flip_preview`
 admitting a quadrilateral with three collinear corners; and
-`apply_flip` swapping one side's old and new apex.
+the flip builder `_flipped` swapping one side's old and new apex.
 
 Run from the root of a checkout:
 
@@ -83,7 +83,7 @@ MUTANTS = [
         "admissible-only",
         "the composition tree starts iterations only at changed edges admissible in the start",
         "fpt_solver.py",
-        "order.sort(key=lambda e: created[e] is None)",
+        "order.sort(key=lambda e: (created[e] is None, k != k0 or created[e] not in goal))",
         "order = [e for e in order if created[e] is not None]",
     ),
     (
@@ -167,7 +167,7 @@ MUTANTS = [
     ),
     (
         "flip-old-new",
-        "apply_flip swaps the old and new apex of the side ac",
+        "the flip builder _flipped swaps the old and new apex of the side ac",
         "triangulation.py",
         "for x, y, old, new in ((a, c, b, d),",
         "for x, y, old, new in ((a, c, d, b),",

@@ -349,6 +349,28 @@ def test_exists_at_changed_edges_with_a_happy_flip_still_searches():
     assert accepted >= 30
 
 
+def test_first_node_search_at_zero_slack_starts_on_a_happy_edge(monkeypatch):
+    # the first changed edge in canonical order, (1, 7), flips but not
+    # into the goal; (2, 4) and (5, 7) do.  Every other k starts at the
+    # first admissible changed edge
+    a, b = random_pair(10, 6, 2007)
+    ce = sorted(changed_edges(a, b))
+    assert ce == [(1, 7), (2, 4), (5, 7)] and a.flip_preview((1, 7))[0] not in b
+    starts = []
+    node_search = fpt_solver._node_search
+
+    def recorded(tri, start, *args):
+        starts.append(start)
+        return node_search(tri, start, *args)
+
+    monkeypatch.setattr(fpt_solver, "_node_search", recorded)
+    assert exists_solution_with_exactly_k_flips(a, b, 3)
+    assert starts[0] == (2, 4)
+    del starts[:]
+    exists_solution_with_exactly_k_flips(a, b, 4)
+    assert starts[0] == (1, 7)
+
+
 def test_exists_previews_each_changed_edge_once_before_searching(monkeypatch):
     # the zero-slack cut and the admissible-first order read one preview
     # per changed edge; d = 4 = |changed edges|, and the first changed
@@ -446,7 +468,7 @@ PINNED_COUNTS = {
     (6, 4, 132): (9, (8, 68, 12, 4, 3, 9), (2929, 17366, 14, 5, 11, 0)),
     (6, 4, 166): (6, (8, 62, 12, 4, 3, 1), (3332, 17630, 14, 7, 14, 0)),
     (7, 4, 51): (19, (28, 178, 14, 4, 2, 43), (15647, 106804, 14, 14, 22, 0)),
-    (14, 8, 2): (11534, (188, 1520, 14, 7, 4, 712), None),
+    (14, 8, 2): (11534, (6, 72, 12, 6, 6, 0), None),
 }
 
 
@@ -506,8 +528,10 @@ def test_memo_shares_failures_across_prefixes():
 
 
 def test_fpt_distance_matches_oracle_on_larger_pair():
-    a, b = generate_instance(14, "random", 8, 2).triangulations()
+    # d = 6 > 5 changed edges, so the search rejects k = 5 and cuts there
+    a, b = generate_instance(14, "convex", 8, 10).triangulations()
     d = bfs_distance(a, b)
+    assert d > len(changed_edges(a, b))
     stats = SolverStats()
     assert fpt_distance(a, b, d, stats=stats) == d
     assert stats.lower_bound_cuts > 0
@@ -571,7 +595,7 @@ def test_streamed_outcomes_expand_no_more_states():
         if slack == 2:
             assert fpt_distance(start, goal, d, stats=stats) == d
     # exact, as any bound lets a smaller regression pass
-    assert stats.states_expanded == 27_270
+    assert stats.states_expanded == 27_390
     start, strata = convex_slack_strata(10)
     slack, d, goal = [s for s in strata if s[:2] == (3, 10)][-1]
     stats = SolverStats()
@@ -582,8 +606,9 @@ def test_streamed_outcomes_expand_no_more_states():
 
 def test_fpt_budget_stops_the_max_slack_eleven_gon(monkeypatch):
     # the first 11-gon goal of greatest (slack, d) in canonical order, one
-    # of 71: without a budget fpt_distance expands 144,553 states on it
-    # (about 1.5 s); a budget of 10,000 stops one k at its 10,001st state
+    # of 71: without a budget fpt_distance expands 32,037 states on it,
+    # 30,036 of them at k = 10; a budget of 10,000 stops that k at its
+    # 10,001st state
     start, strata = convex_slack_strata(11)
     slack, d, goal = max(strata, key=lambda s: s[:2])
     assert (slack, d) == (3, 11)
